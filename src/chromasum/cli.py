@@ -19,6 +19,7 @@ from .verification import (
     DESK_CAPS,
     ResultsCache,
     run_campaign,
+    status_counts,
     summary_line,
     write_reports,
 )
@@ -127,11 +128,10 @@ def cmd_verify(args) -> int:
     formats = ("csv", "json", "markdown") if args.format == "all" else (args.format,)
     write_reports(rows, args.out, formats)
     print(summary_line(rows))
-    mismatches = sum(1 for r in rows if r.status == "mismatch")
-    aborted = sum(1 for r in rows if r.status == "aborted")
-    if args.strict and mismatches:
+    counts = status_counts(rows)
+    if args.strict and counts["mismatches"]:
         return 3
-    if aborted:
+    if counts["aborted"]:
         return 2
     return 0
 

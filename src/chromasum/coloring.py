@@ -96,15 +96,6 @@ def coloring_sum(coloring: Coloring) -> int:
     return sum(i * t for i, t in enumerate(theta(coloring), start=1))
 
 
-def optimal_sum(sizes: Iterable[int], direction: str) -> int:
-    """Best achievable sum(i * theta_i) over relabelings of classes with the
-    given sizes: nonincreasing sizes for min, nondecreasing for max."""
-    ordered = sorted(sizes, reverse=(direction == "min"))
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    return sum(i * s for i, s in enumerate(ordered, start=1))
-
-
 def optimal_labeling(partition: Partition | Iterable[Iterable[int]], direction: str, n: int | None = None) -> Coloring:
     """Assign colour indices 1..k to the classes of an unlabeled partition so
     the colouring sum is extremal: for min, class sizes are nonincreasing in

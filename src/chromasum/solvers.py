@@ -8,6 +8,12 @@ vertex of the previous class) and assign colour indices post hoc, which
 shrinks the space by k! and keeps witnesses reproducible: among equal-value
 partitions the lexicographically first restricted-growth string wins.
 
+Only the min is searched.  Relabelling a partition into k classes in
+reverse colour order maps its min labelling onto its max labelling, so the
+two sums add up to (k+1)*|V|: the partition with the least min sum has the
+greatest max sum, and each *_sum_max is the max labelling of the partition
+its *_sum_min search finds.
+
 Budgets bound nodes and wall time; exhausting either raises, it never
 degrades to a wrong answer.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring, optimal_labeling
+from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
 SOLVER_VERSION = "1"
@@ -132,9 +138,10 @@ def chi_sum(
     tracker = _Tracker(budget or SearchBudget())
     if chi is None:
         chi, _ = _chi_search(g, tracker)
-    value, classes = _best_partition(g, chi, direction, tracker, require_b=False)
-    witness = optimal_labeling(classes, direction, n=g.n)
-    return SumResult(f"chi_sum_{direction}", value, witness, tracker.nodes, tracker.elapsed_ms())
+    classes = _partition(g, chi, tracker, require_b=False)
+    if classes is None:
+        raise RuntimeError(f"no partition into {chi} independent classes; this is a solver bug")
+    return _sum_result(f"chi_sum_{direction}", g, classes, direction, tracker)
 
 
 def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
@@ -157,12 +164,18 @@ def b_sum(
     tracker = _Tracker(budget or SearchBudget())
     if phi is None:
         phi, _ = _phi_search(g, tracker)
-    found = _best_partition(g, phi, direction, tracker, require_b=True)
-    if found is None:
+    classes = _partition(g, phi, tracker, require_b=True)
+    if classes is None:
         raise RuntimeError("no b-colouring with phi colours; this is a solver bug")
-    value, classes = found
-    witness = optimal_labeling(classes, direction, n=g.n)
-    return SumResult(f"b_sum_{direction}", value, witness, tracker.nodes, tracker.elapsed_ms())
+    return _sum_result(f"b_sum_{direction}", g, classes, direction, tracker)
+
+
+def max_twin(result: SumResult) -> SumResult:
+    """The *_sum_max result of the *_sum_min `result`: the same classes with
+    the max labelling, and the same nodes and millis."""
+    witness = optimal_labeling(result.witness.classes(), "max", n=len(result.witness.colors))
+    quantity = result.quantity.removesuffix("_min") + "_max"
+    return SumResult(quantity, coloring_sum(witness), witness, result.nodes_explored, result.elapsed_ms)
 
 
 def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
@@ -175,6 +188,11 @@ def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumRes
     if quantity in ("b_sum_min", "b_sum_max"):
         return b_sum(g, quantity.rsplit("_", 1)[1], budget)
     raise ValueError(f"unknown quantity {quantity!r}")
+
+
+def _sum_result(quantity: str, g: Graph, classes, direction: str, tracker: _Tracker) -> SumResult:
+    witness = optimal_labeling(classes, direction, n=g.n)
+    return SumResult(quantity, coloring_sum(witness), witness, tracker.nodes, tracker.elapsed_ms())
 
 
 def _check_direction(direction: str):
@@ -240,35 +258,37 @@ def _find_k_coloring(g: Graph, k: int, tracker: _Tracker) -> list[int] | None:
 
 def _phi_search(g: Graph, tracker: _Tracker) -> tuple[int, list[list[int]]]:
     for k in range(m_bound(g), 0, -1):
-        found = _first_b_partition(g, k, tracker)
+        found = _partition(g, k, tracker, require_b=True, first=True)
         if found is not None:
             return k, found
     raise RuntimeError("unreachable: a b-colouring with chi(G) colours always exists")
 
 
-def _best_partition(
+def _partition(
     g: Graph,
     k: int,
-    direction: str,
     tracker: _Tracker,
     require_b: bool,
-) -> tuple[int, list[list[int]]] | None:
-    """Extremal-sum partition of V into exactly k independent classes
-    (b-feasible classes when require_b).
+    first: bool = False,
+) -> list[list[int]] | None:
+    """Partition of V into exactly k independent classes (b-feasible classes
+    when require_b) with the least min-labelled sum, or with `first` the
+    lexicographically first such partition; None if there is none.
 
     Pruning: a partial partition is completed optimistically by giving each
     still-unopened class a single vertex and pouring every other unassigned
-    vertex into the currently largest class; that completion extremises
-    every prefix sum of the sorted size vector, so its labeled sum bounds
-    the subtree for both directions.
+    vertex into the currently largest class; that completion maximises
+    every prefix sum of the sorted size vector, so its min-labelled sum
+    bounds the subtree from below.
     """
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
     assign = [0] * n
-    minimize = direction == "min"
     full = (1 << n) - 1
     eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1] if require_b else []
+    if require_b and len(eligible) < k:
+        return None
     eligible_mask = 0
     for v in eligible:
         eligible_mask |= 1 << v
@@ -302,115 +322,6 @@ def _best_partition(
 
     def leaf_is_b() -> bool:
         for c in range(k):
-            mc = masks[c]
-            m = mc & eligible_mask
-            while m:
-                low = m & -m
-                aw = adj[low.bit_length() - 1]
-                m ^= low
-                if all(aw & masks[c2] for c2 in range(k) if c2 != c):
-                    break
-            else:
-                return False
-        return True
-
-    def search(v: int, used: int):
-        nonlocal best_value, best_assign
-        tracker.tick()
-        if v == n:
-            if used != k:
-                return
-            if require_b and not leaf_is_b():
-                return
-            ordered = sorted(sizes, reverse=True)
-            if minimize:
-                value = sum(i * s for i, s in enumerate(ordered, start=1))
-                if best_value is None or value < best_value:
-                    best_value, best_assign = value, assign.copy()
-            else:
-                value = sum(i * s for i, s in enumerate(reversed(ordered), start=1))
-                if best_value is None or value > best_value:
-                    best_value, best_assign = value, assign.copy()
-            return
-        need = k - used
-        rem = n - v
-        if need > rem:
-            return
-        if best_value is not None and used:
-            padded = sorted(sizes[:used], reverse=True)
-            padded[0] += rem - need
-            padded += [1] * need
-            if minimize:
-                if sum(i * s for i, s in enumerate(padded, start=1)) >= best_value:
-                    return
-            else:
-                if sum(i * s for i, s in enumerate(reversed(padded), start=1)) <= best_value:
-                    return
-        if require_b and used and not b_feasible(v, used):
-            return
-        av = adj[v]
-        vbit = 1 << v
-        for c in range(used + 1 if used < k else k):
-            if av & masks[c]:
-                continue
-            masks[c] |= vbit
-            sizes[c] += 1
-            assign[v] = c
-            search(v + 1, used + 1 if c == used else used)
-            masks[c] ^= vbit
-            sizes[c] -= 1
-
-    search(0, 0)
-    if best_value is None:
-        if require_b:
-            return None
-        raise RuntimeError(f"no partition into {k} independent classes; this is a solver bug")
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(best_assign):
-        classes[c].append(v)
-    return best_value, classes
-
-
-def _first_b_partition(g: Graph, k: int, tracker: _Tracker) -> list[list[int]] | None:
-    """Lexicographically first partition into exactly k independent classes
-    that forms a b-colouring, or None."""
-    n, adj = g.n, g.adj
-    masks = [0] * k
-    assign = [0] * n
-    full = (1 << n) - 1
-    eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1]
-    eligible_mask = 0
-    for v in eligible:
-        eligible_mask |= 1 << v
-    if len(eligible) < k:
-        return None
-
-    def b_feasible(v: int, used: int) -> bool:
-        un = full ^ ((1 << v) - 1)
-        for c in range(used):
-            mc = masks[c]
-            for w in eligible:
-                aw = adj[w]
-                wbit = 1 << w
-                if wbit & mc:
-                    pass
-                elif wbit & un:
-                    if aw & mc:
-                        continue
-                else:
-                    continue
-                hits = 0
-                for c2 in range(used):
-                    if c2 != c and aw & masks[c2]:
-                        hits += 1
-                if hits + (aw & un).bit_count() >= k - 1:
-                    break
-            else:
-                return False
-        return True
-
-    def leaf_is_b() -> bool:
-        for c in range(k):
             m = masks[c] & eligible_mask
             while m:
                 low = m & -m
@@ -423,12 +334,27 @@ def _first_b_partition(g: Graph, k: int, tracker: _Tracker) -> list[list[int]] |
         return True
 
     def search(v: int, used: int) -> bool:
+        """Explore the subtree; True stops the whole search."""
+        nonlocal best_value, best_assign
         tracker.tick()
         if v == n:
-            return used == k and leaf_is_b()
-        if k - used > n - v:
+            if used != k or (require_b and not leaf_is_b()):
+                return False
+            value = sum(i * s for i, s in enumerate(sorted(sizes, reverse=True), start=1))
+            if best_value is None or value < best_value:
+                best_value, best_assign = value, assign.copy()
+            return first
+        need = k - used
+        rem = n - v
+        if need > rem:
             return False
-        if used and not b_feasible(v, used):
+        if best_value is not None and used:
+            padded = sorted(sizes[:used], reverse=True)
+            padded[0] += rem - need
+            padded += [1] * need
+            if sum(i * s for i, s in enumerate(padded, start=1)) >= best_value:
+                return False
+        if require_b and used and not b_feasible(v, used):
             return False
         av = adj[v]
         vbit = 1 << v
@@ -436,15 +362,18 @@ def _first_b_partition(g: Graph, k: int, tracker: _Tracker) -> list[list[int]] |
             if av & masks[c]:
                 continue
             masks[c] |= vbit
+            sizes[c] += 1
             assign[v] = c
             if search(v + 1, used + 1 if c == used else used):
                 return True
             masks[c] ^= vbit
+            sizes[c] -= 1
         return False
 
-    if not search(0, 0):
+    search(0, 0)
+    if best_assign is None:
         return None
     classes: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(assign):
+    for v, c in enumerate(best_assign):
         classes[c].append(v)
     return classes

@@ -30,6 +30,7 @@ from .solvers import (
     b_sum,
     chi_sum,
     chromatic_number,
+    max_twin,
 )
 
 CACHE_VERSION = 1
@@ -67,10 +68,11 @@ class VerificationRow:
 
 
 class ResultsCache:
-    """Append-only JSON store of solver results keyed by instance.
+    """JSON store of solver results keyed by instance.
 
-    Entries recorded under a different solver version are kept but never
-    served.  A corrupt file is discarded with a warning and rebuilt."""
+    Entries recorded under a different solver version, or malformed ones,
+    are never served, and the next put for their key replaces them.  A
+    corrupt file is discarded with a warning and rebuilt."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -107,8 +109,7 @@ class ResultsCache:
 
     def put(self, family: str, n: int, quantity: str, result: SumResult):
         key = self._key(family, n, quantity)
-        if key not in self._entries:
-            self._entries[key] = {"solver_version": SOLVER_VERSION, "result": result.to_json()}
+        self._entries[key] = {"solver_version": SOLVER_VERSION, "result": result.to_json()}
 
     def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -118,38 +119,37 @@ class ResultsCache:
         os.replace(tmp, self.path)
 
 
-def _solve_one(g, quantity: str, budget: SearchBudget, chi: int | None, phi: int | None) -> SumResult:
-    if quantity == "chi":
-        return chromatic_number(g, budget)
-    if quantity == "b_chromatic":
-        return b_chromatic_number(g, budget)
-    if quantity.startswith("chi_sum"):
-        return chi_sum(g, quantity.rsplit("_", 1)[1], budget, chi=chi)
-    return b_sum(g, quantity.rsplit("_", 1)[1], budget, phi=phi)
-
-
 def _solve_group(task) -> dict:
     """Solve every requested quantity for one (family, n).  chi and phi are
-    computed at most once per graph and shared by the sum quantities."""
+    computed at most once per graph and shared by the sum quantities; a
+    *_sum_max is relabelled from its *_sum_min when the group solved that."""
     family, n, quantities, max_nodes, max_time = task
     budget = SearchBudget(max_nodes=max_nodes, max_time=max_time)
     g = families.make(family, n)
-    chi_val: int | None = None
-    phi_val: int | None = None
+    solved: dict[str, SumResult] = {}
+
+    def get(quantity: str) -> SumResult:
+        if quantity not in solved:
+            solved[quantity] = compute(quantity)
+        return solved[quantity]
+
+    def compute(quantity: str) -> SumResult:
+        if quantity == "chi":
+            return chromatic_number(g, budget)
+        if quantity == "b_chromatic":
+            return b_chromatic_number(g, budget)
+        base, direction = quantity.rsplit("_", 1)
+        if f"{base}_min" in solved:
+            return max_twin(solved[f"{base}_min"])
+        if base == "chi_sum":
+            return chi_sum(g, direction, budget, chi=get("chi").value)
+        return b_sum(g, direction, budget, phi=get("b_chromatic").value)
+
     out: dict[str, dict] = {}
     for quantity in quantities:
         started = time.monotonic()
         try:
-            if quantity.startswith("chi_sum") and chi_val is None:
-                chi_val = chromatic_number(g, budget).value
-            if quantity.startswith("b_sum") and phi_val is None:
-                phi_val = b_chromatic_number(g, budget).value
-            result = _solve_one(g, quantity, budget, chi_val, phi_val)
-            if quantity == "chi":
-                chi_val = result.value
-            elif quantity == "b_chromatic":
-                phi_val = result.value
-            out[quantity] = {"status": "ok", "result": result.to_json()}
+            out[quantity] = {"status": "ok", "result": get(quantity).to_json()}
         except BudgetExhausted as exc:
             elapsed = int((time.monotonic() - started) * 1000)
             out[quantity] = {"status": "aborted", "nodes": exc.nodes_explored, "millis": elapsed}
@@ -257,11 +257,18 @@ def run_campaign(
     return rows
 
 
+def status_counts(rows) -> dict[str, int]:
+    """Rows per outcome, keyed as in the report summaries."""
+    statuses = [r.status for r in rows]
+    return {
+        "matches": statuses.count("match"),
+        "mismatches": statuses.count("mismatch"),
+        "aborted": statuses.count("aborted"),
+    }
+
+
 def summary_line(rows) -> str:
-    matches = sum(1 for r in rows if r.status == "match")
-    mism = sum(1 for r in rows if r.status == "mismatch")
-    aborted = sum(1 for r in rows if r.status == "aborted")
-    return f"matches={matches} mismatches={mism} aborted={aborted}"
+    return " ".join(f"{name}={count}" for name, count in status_counts(rows).items())
 
 
 def render_report(rows, fmt: str) -> str:
@@ -287,13 +294,7 @@ def _render_csv(rows) -> str:
 
 
 def _render_json(rows) -> str:
-    matches = sum(1 for r in rows if r.status == "match")
-    mism = sum(1 for r in rows if r.status == "mismatch")
-    aborted = sum(1 for r in rows if r.status == "aborted")
-    payload = {
-        "rows": [r.to_json() for r in rows],
-        "summary": {"matches": matches, "mismatches": mism, "aborted": aborted},
-    }
+    payload = {"rows": [r.to_json() for r in rows], "summary": status_counts(rows)}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

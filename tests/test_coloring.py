@@ -12,7 +12,6 @@ from chromasum.coloring import (
     is_b_vertex,
     is_proper,
     optimal_labeling,
-    optimal_sum,
     theta,
 )
 from chromasum.families import helm, web, wheel
@@ -90,8 +89,6 @@ class TestOptimalLabeling:
         hi = optimal_labeling(classes, "max")
         assert coloring_sum(lo) == 15
         assert coloring_sum(hi) == 21
-        assert optimal_sum([1, 4, 4], "min") == 15
-        assert optimal_sum([1, 4, 4], "max") == 21
 
     def test_single_class(self):
         classes = [{0, 1, 2}]

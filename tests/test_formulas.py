@@ -1,5 +1,6 @@
 import pytest
 
+from chromasum.families import MIN_N, make
 from chromasum.formulas import (
     COVERED_FAMILIES,
     FormulaEntry,
@@ -9,6 +10,8 @@ from chromasum.formulas import (
     is_covered,
     predict,
 )
+from chromasum.solvers import b_chromatic_number, chromatic_number
+from chromasum.verification import DESK_CAPS
 
 VERTICES = {
     "double_wheel": lambda n: 2 * n + 1,
@@ -190,3 +193,23 @@ class TestCoverage:
     def test_below_family_minimum(self):
         with pytest.raises(ValueError):
             predict("helm", "b_sum_min", 2)
+
+
+class TestMinMaxPairs:
+    def test_published_pairs_against_duality(self):
+        # A partition into k classes has min + max labelled sums equal to
+        # (k+1)*|V|, so a published min/max pair must add up to that; only
+        # the formulas are compared here, no sum is searched.
+        violators = set()
+        for family in COVERED_FAMILIES:
+            for base, k_solver in (("chi_sum", chromatic_number), ("b_sum", b_chromatic_number)):
+                if not (is_covered(family, f"{base}_min") and is_covered(family, f"{base}_max")):
+                    continue
+                for n in range(MIN_N, DESK_CAPS[family] + 1):
+                    g = make(family, n)
+                    k = k_solver(g).value
+                    published = predict(family, f"{base}_min", n) + predict(family, f"{base}_max", n)
+                    if published != (k + 1) * g.n:
+                        violators.add((family, base, n))
+        # closed_helm n=6: 32 + 47 != 6 * 13; web n=4: 14 + 14 != 3 * 12
+        assert violators == {("closed_helm", "b_sum", 6), ("web", "chi_sum", 4)}

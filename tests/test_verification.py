@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -110,6 +111,10 @@ class TestCache:
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
+        cache.save()
+        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
+        assert entry["solver_version"] == SOLVER_VERSION
+        assert entry["result"]["value"] == 10
 
     def test_corrupt_cache_rebuilt_with_warning(self, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -134,13 +139,13 @@ class TestCache:
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
 
-    def test_append_only(self, tmp_path):
+    def test_put_replaces_entry(self, tmp_path):
         cache = ResultsCache(tmp_path / "c.json")
         first = solve(make("helm", 3), "chi")
         cache.put("helm", 3, "chi", first)
-        tampered = solve(make("helm", 3), "chi")
-        cache.put("helm", 3, "chi", tampered)
-        assert cache.get("helm", 3, "chi") == first
+        second = dataclasses.replace(first, elapsed_ms=first.elapsed_ms + 1)
+        cache.put("helm", 3, "chi", second)
+        assert cache.get("helm", 3, "chi") == second
 
 
 class TestRendering:
