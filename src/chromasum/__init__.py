@@ -3,7 +3,6 @@ graph families (wheels, double wheels, helms, closed helms, sunlets, webs)."""
 
 from .coloring import (
     Coloring,
-    Partition,
     coloring_sum,
     is_b_colouring,
     is_b_vertex,
@@ -31,7 +30,6 @@ from .verification import ResultsCache, VerificationRow, render_report, run_camp
 
 __all__ = [
     "Coloring",
-    "Partition",
     "coloring_sum",
     "is_b_colouring",
     "is_b_vertex",

@@ -59,32 +59,6 @@ class Coloring:
         return cls(int(data["k"]), [int(c) for c in data["colors"]])
 
 
-class Partition:
-    """Ordered list of disjoint nonempty vertex classes covering 0..n-1."""
-
-    __slots__ = ("classes", "n")
-
-    def __init__(self, classes: Iterable[Iterable[int]], n: int):
-        cls = tuple(frozenset(c) for c in classes)
-        seen: set[int] = set()
-        for c in cls:
-            if not c:
-                raise ValueError("empty colour class")
-            if c & seen:
-                raise ValueError("colour classes overlap")
-            seen |= c
-        if seen != set(range(n)):
-            raise ValueError(f"classes do not cover 0..{n - 1}")
-        object.__setattr__(self, "classes", cls)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def theta(coloring: Coloring) -> tuple[int, ...]:
     counts = [0] * coloring.k
     for c in coloring.colors:
@@ -96,21 +70,27 @@ def coloring_sum(coloring: Coloring) -> int:
     return sum(i * t for i, t in enumerate(theta(coloring), start=1))
 
 
-def optimal_labeling(partition: Partition | Iterable[Iterable[int]], direction: str, n: int | None = None) -> Coloring:
+def optimal_labeling(partition: Iterable[Iterable[int]], direction: str, n: int | None = None) -> Coloring:
     """Assign colour indices 1..k to the classes of an unlabeled partition so
     the colouring sum is extremal: for min, class sizes are nonincreasing in
     colour index; for max, nondecreasing.  Ties break on the smallest vertex
-    id contained in the class, so the labeling is deterministic."""
+    id contained in the class, so the labeling is deterministic.  The
+    classes must be nonempty, disjoint and cover 0..n-1; n defaults to the
+    number of vertices they hold."""
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    if isinstance(partition, Partition):
-        classes = partition.classes
-        n = partition.n
-    else:
-        classes = tuple(frozenset(c) for c in partition)
-        if n is None:
-            n = sum(len(c) for c in classes)
-        Partition(classes, n)  # validate
+    classes = [frozenset(c) for c in partition]
+    if n is None:
+        n = sum(len(c) for c in classes)
+    seen: set[int] = set()
+    for c in classes:
+        if not c:
+            raise ValueError("empty colour class")
+        if c & seen:
+            raise ValueError("colour classes overlap")
+        seen |= c
+    if seen != set(range(n)):
+        raise ValueError(f"classes do not cover 0..{n - 1}")
     sign = -1 if direction == "min" else 1
     ordered = sorted(classes, key=lambda c: (sign * len(c), min(c)))
     colors = [0] * n

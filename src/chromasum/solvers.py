@@ -2,11 +2,17 @@
 
 chi / chi_sum_* search proper colourings with exactly chi(G) colours;
 b_chromatic / b_sum_* search b-colourings with exactly phi(G) colours.
-Sum searches run over unlabeled partitions in restricted-growth order
-(the lowest-numbered vertex of each new class exceeds the lowest-numbered
-vertex of the previous class) and assign colour indices post hoc, which
-shrinks the space by k! and keeps witnesses reproducible: among equal-value
-partitions the lexicographically first restricted-growth string wins.
+Every search runs one enumerator over unlabeled partitions into exactly k
+independent classes (b-feasible classes for the b quantities) in
+restricted-growth order: the lowest-numbered vertex of each new class
+exceeds the lowest-numbered vertex of the previous class.  Colour indices
+are assigned post hoc, which shrinks the space by k! and keeps witnesses
+reproducible: among equal-value partitions the lexicographically first
+restricted-growth string wins.
+
+chi(G) and phi(G) are scans over k that stop at the first partition found:
+chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  The
+sum searches run the same enumerator at that k to the least min sum.
 
 Only the min is searched.  Relabelling a partition into k classes in
 reverse colour order maps its min labelling onto its max labelling, so the
@@ -116,14 +122,8 @@ def m_bound(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
-    """Exact chi(G) by iterative deepening on k with saturation-degree
-    ordered backtracking; colour j is only opened once colours < j are in use."""
-    if g.n == 0:
-        raise ValueError("chromatic number of the empty graph is undefined here")
-    tracker = _Tracker(budget or SearchBudget())
-    k, colors = _chi_search(g, tracker)
-    witness = Coloring(k, [c + 1 for c in colors])
-    return SumResult("chi", k, witness, tracker.nodes, tracker.elapsed_ms())
+    """Exact chi(G): the least k with a partition into k independent classes."""
+    return _number("chi", g, budget, require_b=False)
 
 
 def chi_sum(
@@ -134,22 +134,12 @@ def chi_sum(
 ) -> SumResult:
     """Exact extremum of the colouring sum over proper colourings with
     exactly chi(G) colours."""
-    _check_direction(direction)
-    tracker = _Tracker(budget or SearchBudget())
-    if chi is None:
-        chi, _ = _chi_search(g, tracker)
-    classes = _partition(g, chi, tracker, require_b=False)
-    if classes is None:
-        raise RuntimeError(f"no partition into {chi} independent classes; this is a solver bug")
-    return _sum_result(f"chi_sum_{direction}", g, classes, direction, tracker)
+    return _sum("chi_sum", g, direction, budget, chi, require_b=False)
 
 
 def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     """Exact phi(G): largest k <= m(G) admitting a b-colouring with k colours."""
-    tracker = _Tracker(budget or SearchBudget())
-    k, classes = _phi_search(g, tracker)
-    witness = optimal_labeling(classes, "min", n=g.n)
-    return SumResult("b_chromatic", k, witness, tracker.nodes, tracker.elapsed_ms())
+    return _number("b_chromatic", g, budget, require_b=True)
 
 
 def b_sum(
@@ -160,14 +150,7 @@ def b_sum(
 ) -> SumResult:
     """Exact extremum of the colouring sum over b-colourings with exactly
     phi(G) colours."""
-    _check_direction(direction)
-    tracker = _Tracker(budget or SearchBudget())
-    if phi is None:
-        phi, _ = _phi_search(g, tracker)
-    classes = _partition(g, phi, tracker, require_b=True)
-    if classes is None:
-        raise RuntimeError("no b-colouring with phi colours; this is a solver bug")
-    return _sum_result(f"b_sum_{direction}", g, classes, direction, tracker)
+    return _sum("b_sum", g, direction, budget, phi, require_b=True)
 
 
 def max_twin(result: SumResult) -> SumResult:
@@ -190,78 +173,44 @@ def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumRes
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _sum_result(quantity: str, g: Graph, classes, direction: str, tracker: _Tracker) -> SumResult:
-    witness = optimal_labeling(classes, direction, n=g.n)
-    return SumResult(quantity, coloring_sum(witness), witness, tracker.nodes, tracker.elapsed_ms())
+def _number(quantity: str, g: Graph, budget: SearchBudget | None, require_b: bool) -> SumResult:
+    tracker = _Tracker(budget or SearchBudget())
+    k, classes = _scan(g, tracker, require_b)
+    witness = optimal_labeling(classes, "min", n=g.n)
+    return SumResult(quantity, k, witness, tracker.nodes, tracker.elapsed_ms())
 
 
-def _check_direction(direction: str):
+def _sum(
+    base: str,
+    g: Graph,
+    direction: str,
+    budget: SearchBudget | None,
+    k: int | None,
+    require_b: bool,
+) -> SumResult:
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    tracker = _Tracker(budget or SearchBudget())
+    if k is None:
+        k, _ = _scan(g, tracker, require_b)
+    classes = _partition(g, k, tracker, require_b)
+    if classes is None:
+        raise RuntimeError(f"{base}: no partition into {k} classes; this is a solver bug")
+    witness = optimal_labeling(classes, direction, n=g.n)
+    return SumResult(f"{base}_{direction}", coloring_sum(witness), witness, tracker.nodes, tracker.elapsed_ms())
 
 
-def _chi_search(g: Graph, tracker: _Tracker) -> tuple[int, list[int]]:
-    for k in range(1, g.n + 1):
-        colors = _find_k_coloring(g, k, tracker)
-        if colors is not None:
-            return k, colors
-    raise RuntimeError("unreachable: every graph is n-colourable")
-
-
-def _find_k_coloring(g: Graph, k: int, tracker: _Tracker) -> list[int] | None:
-    """Proper colouring with at most k colours (0-based), or None.  DSATUR
-    vertex order: most saturated, then highest degree, then lowest id."""
-    n, adj = g.n, g.adj
-    color = [-1] * n
-    sat = [0] * n  # bitmask of colours present in the neighbourhood
-    degs = [a.bit_count() for a in adj]
-
-    def pick() -> int:
-        best = -1
-        best_key = (-1, -1, 0)
-        for v in range(n):
-            if color[v] < 0:
-                key = (sat[v].bit_count(), degs[v], -v)
-                if key > best_key:
-                    best, best_key = v, key
-        return best
-
-    def extend(depth: int, used: int) -> bool:
-        if depth == n:
-            return True
-        v = pick()
-        av = adj[v]
-        for c in range(used + 1 if used < k else k):
-            if sat[v] >> c & 1:
-                continue
-            tracker.tick()
-            color[v] = c
-            bit = 1 << c
-            touched = []
-            m = av
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                if not sat[u] & bit:
-                    sat[u] |= bit
-                    touched.append(u)
-            if extend(depth + 1, max(used, c + 1)):
-                return True
-            for u in touched:
-                sat[u] ^= bit
-            color[v] = -1
-        return False
-
-    return color if extend(0, 0) else None
-
-
-def _phi_search(g: Graph, tracker: _Tracker) -> tuple[int, list[list[int]]]:
-    for k in range(m_bound(g), 0, -1):
-        found = _partition(g, k, tracker, require_b=True, first=True)
-        if found is not None:
-            return k, found
-    raise RuntimeError("unreachable: a b-colouring with chi(G) colours always exists")
+def _scan(g: Graph, tracker: _Tracker, require_b: bool) -> tuple[int, list[list[int]]]:
+    """chi(G) scanning k up from 1, or phi(G) scanning k down from m(G), with
+    the first partition found at that k."""
+    if g.n == 0:
+        raise ValueError("colouring quantities of the empty graph are undefined here")
+    ks = range(m_bound(g), 0, -1) if require_b else range(1, g.n + 1)
+    for k in ks:
+        classes = _partition(g, k, tracker, require_b, first=True)
+        if classes is not None:
+            return k, classes
+    raise RuntimeError("unreachable: chi(G) <= n, and a b-colouring with chi(G) colours exists")
 
 
 def _partition(

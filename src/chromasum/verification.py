@@ -114,7 +114,9 @@ class ResultsCache:
     def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"version": CACHE_VERSION, "entries": self._entries}
-        tmp = self.path.with_suffix(".tmp")
+        # A per-process name, so runs that share the cache never write the
+        # same temporary file.
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         os.replace(tmp, self.path)
 
@@ -338,7 +340,8 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "mar
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
     """Re-validate a report row's witness file from scratch: propriety, the
-    b-property for b quantities, and value agreement."""
+    b-property for b quantities, value agreement, and for sum rows that the
+    witness has chi(G) colours (chi sums) or phi(G) colours (b sums)."""
     if not row.witness_path:
         return False
     data = json.loads((Path(base_dir) / row.witness_path).read_text())
@@ -350,4 +353,5 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         return False
     if row.quantity in ("chi", "b_chromatic"):
         return witness.k == row.computed
-    return coloring_sum(witness) == row.computed
+    number = b_chromatic_number if row.quantity.startswith("b_") else chromatic_number
+    return witness.k == number(g).value and coloring_sum(witness) == row.computed

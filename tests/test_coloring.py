@@ -6,7 +6,6 @@ from helpers import exhaustive_labeling_extremum
 
 from chromasum.coloring import (
     Coloring,
-    Partition,
     coloring_sum,
     is_b_colouring,
     is_b_vertex,
@@ -37,21 +36,24 @@ class TestColoringType:
 
 
 class TestPartitionType:
+    """optimal_labeling accepts only a partition of 0..n-1 into nonempty classes."""
+
     def test_valid(self):
-        p = Partition([{0, 1}, {2}], 3)
-        assert len(p) == 2
+        assert optimal_labeling([{0, 1}, {2}], "min", n=3).k == 2
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            Partition([{0, 1}, {1, 2}], 3)
+            optimal_labeling([{0, 1}, {1, 2}], "min", n=3)
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError, match="cover"):
-            Partition([{0}, {2}], 3)
+            optimal_labeling([{0}, {2}], "min", n=3)
+        with pytest.raises(ValueError, match="cover"):
+            optimal_labeling([{0}, {2}], "min")
 
     def test_rejects_empty_class(self):
         with pytest.raises(ValueError, match="empty"):
-            Partition([{0, 1, 2}, set()], 3)
+            optimal_labeling([{0, 1, 2}, set()], "min", n=3)
 
 
 class TestSums:

@@ -1,12 +1,14 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
-against the brute-force oracle, and the min/max duality of the sums."""
+against the brute-force oracle, determinism of the chi witness, and the
+min/max duality of the sums."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromasum.coloring import is_proper
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
-from chromasum.solvers import b_chromatic_number, b_sum, chi_sum, max_twin
+from chromasum.solvers import b_chromatic_number, b_sum, chi_sum, chromatic_number, max_twin
 
 
 @st.composite
@@ -32,6 +34,16 @@ def check_sum_pair(g: Graph, solver, base: str):
     twin = max_twin(lo)
     assert (twin.quantity, twin.value, twin.witness) == (f"{base}_max", hi.value, hi.witness)
     assert twin.nodes_explored == hi.nodes_explored
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_chi(g):
+    result = chromatic_number(g)
+    assert result.value == brute_force_oracle(g, "chi").value
+    assert result.witness.k == result.value
+    assert is_proper(g, result.witness)
+    assert chromatic_number(g).witness == result.witness
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,8 +40,15 @@ class TestChromaticNumber:
         assert is_proper(g, r.witness)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            chromatic_number(empty_graph(0))
+        g = empty_graph(0)
+        for call in (
+            lambda: chromatic_number(g),
+            lambda: b_chromatic_number(g),
+            lambda: chi_sum(g, "min"),
+            lambda: b_sum(g, "min"),
+        ):
+            with pytest.raises(ValueError, match="empty graph"):
+                call()
 
     def test_edgeless(self):
         assert chromatic_number(empty_graph(4)).value == 1

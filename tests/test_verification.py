@@ -72,6 +72,15 @@ class TestRunCampaign:
         assert row.predicted == 14 and row.computed == 13
         assert validate_witness(row, tmp_path)
 
+    def test_sum_witness_needs_chi_colours(self, tmp_path):
+        # a proper 3-colouring of sunlet:4, whose chi is 2; its own sum is 14
+        witness = tmp_path / "witnesses" / "sunlet-4-chi_sum_min.json"
+        witness.parent.mkdir()
+        witness.write_text(json.dumps({"k": 3, "colors": [1, 2, 1, 2, 2, 1, 2, 3]}))
+        row = VerificationRow("sunlet", 4, "chi_sum_min", 12, 14, "mismatch",
+                              "witnesses/sunlet-4-chi_sum_min.json", 0, 0)
+        assert not validate_witness(row, tmp_path)
+
     def test_aborted_rows(self, tmp_path):
         budget = SearchBudget(max_nodes=1)
         rows = run_campaign(["helm"], 4, 4, ["b_sum_min"], budget=budget, out_dir=tmp_path)
@@ -138,6 +147,16 @@ class TestCache:
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
+
+    def test_save_leaves_foreign_temp_file(self, tmp_path):
+        # another run sharing the cache directory may be mid-save
+        foreign = tmp_path / "results.tmp"
+        foreign.write_text("another run's half-written cache")
+        cache = ResultsCache(tmp_path / "results.json")
+        cache.put("helm", 3, "chi", solve(make("helm", 3), "chi"))
+        cache.save()
+        assert foreign.read_text() == "another run's half-written cache"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json", "results.tmp"]
 
     def test_put_replaces_entry(self, tmp_path):
         cache = ResultsCache(tmp_path / "c.json")
