@@ -24,9 +24,8 @@ from .solvers import (
     chi_sum,
     chromatic_number,
     m_bound,
-    solve,
 )
-from .verification import ResultsCache, VerificationRow, render_report, run_campaign
+from .verification import ResultsCache, VerificationRow, render_report, run_campaign, solve
 
 __all__ = [
     "Coloring",

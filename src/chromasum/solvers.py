@@ -11,8 +11,9 @@ reproducible: among equal-value partitions the lexicographically first
 restricted-growth string wins.
 
 chi(G) and phi(G) are scans over k that stop at the first partition found:
-chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  The
-sum searches run the same enumerator at that k to the least min sum.
+chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  A
+sum search runs its scan first, then the same enumerator at the k found to
+the least min sum.
 
 Only the min is searched.  Relabelling a partition into k classes in
 reverse colour order maps its min labelling onto its max labelling, so the
@@ -20,8 +21,8 @@ two sums add up to (k+1)*|V|: the partition with the least min sum has the
 greatest max sum, and each *_sum_max is the max labelling of the partition
 its *_sum_min search finds.
 
-Budgets bound nodes and wall time; exhausting either raises, it never
-degrades to a wrong answer.
+A budget bounds the nodes and wall time of one call, its scan included;
+exhausting either raises, it never degrades to a wrong answer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "1"
+SOLVER_VERSION = "2"
 
 QUANTITIES = (
     "chi",
@@ -126,15 +127,10 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     return _number("chi", g, budget, require_b=False)
 
 
-def chi_sum(
-    g: Graph,
-    direction: str,
-    budget: SearchBudget | None = None,
-    chi: int | None = None,
-) -> SumResult:
+def chi_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over proper colourings with
     exactly chi(G) colours."""
-    return _sum("chi_sum", g, direction, budget, chi, require_b=False)
+    return _sum("chi_sum", g, direction, budget, require_b=False)
 
 
 def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
@@ -142,15 +138,10 @@ def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResul
     return _number("b_chromatic", g, budget, require_b=True)
 
 
-def b_sum(
-    g: Graph,
-    direction: str,
-    budget: SearchBudget | None = None,
-    phi: int | None = None,
-) -> SumResult:
+def b_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over b-colourings with exactly
     phi(G) colours."""
-    return _sum("b_sum", g, direction, budget, phi, require_b=True)
+    return _sum("b_sum", g, direction, budget, require_b=True)
 
 
 def max_twin(result: SumResult) -> SumResult:
@@ -161,18 +152,6 @@ def max_twin(result: SumResult) -> SumResult:
     return SumResult(quantity, coloring_sum(witness), witness, result.nodes_explored, result.elapsed_ms)
 
 
-def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
-    if quantity == "chi":
-        return chromatic_number(g, budget)
-    if quantity == "b_chromatic":
-        return b_chromatic_number(g, budget)
-    if quantity in ("chi_sum_min", "chi_sum_max"):
-        return chi_sum(g, quantity.rsplit("_", 1)[1], budget)
-    if quantity in ("b_sum_min", "b_sum_max"):
-        return b_sum(g, quantity.rsplit("_", 1)[1], budget)
-    raise ValueError(f"unknown quantity {quantity!r}")
-
-
 def _number(quantity: str, g: Graph, budget: SearchBudget | None, require_b: bool) -> SumResult:
     tracker = _Tracker(budget or SearchBudget())
     k, classes = _scan(g, tracker, require_b)
@@ -180,19 +159,11 @@ def _number(quantity: str, g: Graph, budget: SearchBudget | None, require_b: boo
     return SumResult(quantity, k, witness, tracker.nodes, tracker.elapsed_ms())
 
 
-def _sum(
-    base: str,
-    g: Graph,
-    direction: str,
-    budget: SearchBudget | None,
-    k: int | None,
-    require_b: bool,
-) -> SumResult:
+def _sum(base: str, g: Graph, direction: str, budget: SearchBudget | None, require_b: bool) -> SumResult:
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     tracker = _Tracker(budget or SearchBudget())
-    if k is None:
-        k, _ = _scan(g, tracker, require_b)
+    k, _ = _scan(g, tracker, require_b)
     classes = _partition(g, k, tracker, require_b)
     if classes is None:
         raise RuntimeError(f"{base}: no partition into {k} classes; this is a solver bug")

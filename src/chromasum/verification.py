@@ -10,6 +10,7 @@ so warm reruns are byte-identical to the run that populated the cache.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from . import families, formulas
 from .coloring import Coloring, coloring_sum, is_b_colouring, is_proper
+from .graphs import Graph
 from .solvers import (
     QUANTITIES,
     SOLVER_VERSION,
@@ -121,37 +123,39 @@ class ResultsCache:
         os.replace(tmp, self.path)
 
 
+def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
+    """One quantity of g, solved under one budget.  The solvers are looked up
+    in this module's namespace, so a wrapper set on one of them sees every
+    call."""
+    if quantity == "chi":
+        return chromatic_number(g, budget)
+    if quantity == "b_chromatic":
+        return b_chromatic_number(g, budget)
+    if quantity in ("chi_sum_min", "chi_sum_max"):
+        return chi_sum(g, quantity.rsplit("_", 1)[1], budget)
+    if quantity in ("b_sum_min", "b_sum_max"):
+        return b_sum(g, quantity.rsplit("_", 1)[1], budget)
+    raise ValueError(f"unknown quantity {quantity!r}")
+
+
 def _solve_group(task) -> dict:
-    """Solve every requested quantity for one (family, n).  chi and phi are
-    computed at most once per graph and shared by the sum quantities; a
-    *_sum_max is relabelled from its *_sum_min when the group solved that."""
+    """Solve every requested quantity for one (family, n), each row one solve
+    call on its own budget; a *_sum_max is relabelled from its *_sum_min when
+    the group solved that."""
     family, n, quantities, max_nodes, max_time = task
     budget = SearchBudget(max_nodes=max_nodes, max_time=max_time)
     g = families.make(family, n)
     solved: dict[str, SumResult] = {}
-
-    def get(quantity: str) -> SumResult:
-        if quantity not in solved:
-            solved[quantity] = compute(quantity)
-        return solved[quantity]
-
-    def compute(quantity: str) -> SumResult:
-        if quantity == "chi":
-            return chromatic_number(g, budget)
-        if quantity == "b_chromatic":
-            return b_chromatic_number(g, budget)
-        base, direction = quantity.rsplit("_", 1)
-        if f"{base}_min" in solved:
-            return max_twin(solved[f"{base}_min"])
-        if base == "chi_sum":
-            return chi_sum(g, direction, budget, chi=get("chi").value)
-        return b_sum(g, direction, budget, phi=get("b_chromatic").value)
-
     out: dict[str, dict] = {}
     for quantity in quantities:
         started = time.monotonic()
+        twin = quantity.removesuffix("_max") + "_min"
         try:
-            out[quantity] = {"status": "ok", "result": get(quantity).to_json()}
+            if quantity.endswith("_sum_max") and twin in solved:
+                solved[quantity] = max_twin(solved[twin])
+            else:
+                solved[quantity] = solve(g, quantity, budget)
+            out[quantity] = {"status": "ok", "result": solved[quantity].to_json()}
         except BudgetExhausted as exc:
             elapsed = int((time.monotonic() - started) * 1000)
             out[quantity] = {"status": "aborted", "nodes": exc.nodes_explored, "millis": elapsed}
@@ -353,5 +357,13 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         return False
     if row.quantity in ("chi", "b_chromatic"):
         return witness.k == row.computed
-    number = b_chromatic_number if row.quantity.startswith("b_") else chromatic_number
-    return witness.k == number(g).value and coloring_sum(witness) == row.computed
+    k = _colour_count(row.family, row.n, row.quantity.startswith("b_"))
+    return witness.k == k and coloring_sum(witness) == row.computed
+
+
+@functools.lru_cache(maxsize=None)
+def _colour_count(family: str, n: int, b: bool) -> int:
+    """phi (b) or chi of family(n), solved once: the graph depends only on
+    (family, n), so a memoised count never goes stale."""
+    number = b_chromatic_number if b else chromatic_number
+    return number(families.make(family, n)).value

@@ -18,8 +18,15 @@ from chromasum.coloring import coloring_sum, is_b_colouring, is_proper, optimal_
 from chromasum.families import FAMILY_KINDS, make
 from chromasum.formulas import predict
 from chromasum.oracle import brute_force_oracle
-from chromasum.solvers import QUANTITIES, m_bound, solve
-from chromasum.verification import DESK_CAPS, ResultsCache, run_campaign, validate_witness, write_reports
+from chromasum.solvers import QUANTITIES, m_bound
+from chromasum.verification import (
+    DESK_CAPS,
+    ResultsCache,
+    run_campaign,
+    solve,
+    validate_witness,
+    write_reports,
+)
 
 SMALL_GRID = (
     [("double_wheel", n) for n in (3, 4, 5)]

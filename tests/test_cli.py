@@ -2,7 +2,7 @@ import json
 
 from chromasum.cli import main
 from chromasum.families import make
-from chromasum.solvers import solve
+from chromasum.verification import solve
 
 
 class TestGenerate:

@@ -4,7 +4,8 @@ from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import make, sunlet, wheel
 from chromasum.graphs import complete_graph, cycle
 from chromasum.oracle import brute_force_oracle
-from chromasum.solvers import QUANTITIES, BudgetExhausted, SearchBudget, solve
+from chromasum.solvers import QUANTITIES, BudgetExhausted, SearchBudget
+from chromasum.verification import solve
 
 
 class TestKnownValues:

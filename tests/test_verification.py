@@ -3,14 +3,16 @@ import json
 
 import pytest
 
-from chromasum.solvers import SOLVER_VERSION, SearchBudget, solve
+from chromasum import verification
 from chromasum.families import make
+from chromasum.solvers import SOLVER_VERSION, SearchBudget
 from chromasum.verification import (
     ResultsCache,
     VerificationRow,
     plan_tasks,
     render_report,
     run_campaign,
+    solve,
     summary_line,
     validate_witness,
     write_reports,
@@ -81,6 +83,15 @@ class TestRunCampaign:
                               "witnesses/sunlet-4-chi_sum_min.json", 0, 0)
         assert not validate_witness(row, tmp_path)
 
+    def test_witness_check_solves_phi_once_per_graph(self, tmp_path, monkeypatch):
+        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "b_sum_max"], out_dir=tmp_path)
+        calls = []
+        real = verification.b_chromatic_number
+        monkeypatch.setattr(verification, "b_chromatic_number", lambda g: calls.append(g) or real(g))
+        verification._colour_count.cache_clear()
+        assert all(validate_witness(row, tmp_path) for row in rows)
+        assert len(calls) == 1
+
     def test_aborted_rows(self, tmp_path):
         budget = SearchBudget(max_nodes=1)
         rows = run_campaign(["helm"], 4, 4, ["b_sum_min"], budget=budget, out_dir=tmp_path)
@@ -88,6 +99,19 @@ class TestRunCampaign:
         assert row.status == "aborted"
         assert row.computed is None
         assert row.witness_path == ""
+
+    def test_row_budget_covers_phi_scan(self):
+        # b_sum(sunlet(8), "min") aborts on this budget only because its phi
+        # scan counts against it; the campaign row must abort too
+        budget = SearchBudget(max_nodes=18517)
+        (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget)
+        assert row.status == "aborted"
+
+    def test_row_nodes_match_direct_solve(self):
+        rows = run_campaign(["sunlet", "web"], 3, 4, ALL_QUANTITIES)
+        assert len(rows) == 18
+        for row in rows:
+            assert row.nodes_explored == solve(make(row.family, row.n), row.quantity).nodes_explored
 
     def test_jobs_match_serial(self, tmp_path):
         serial = run_campaign(["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"])
