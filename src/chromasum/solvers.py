@@ -10,6 +10,12 @@ are assigned post hoc, which shrinks the space by k! and keeps witnesses
 reproducible: among equal-value partitions the lexicographically first
 restricted-growth string wins.
 
+Each node of the enumerator costs O(k + eligible + deg(v)): the bound's
+min-labelled weight is carried down the search with a histogram `above` of
+the class sizes instead of re-sorting them, and b-feasibility reads
+per-vertex counts `seen` of the opened classes each vertex sees through one
+per-node mask `good` (see `_partition`).
+
 chi(G) and phi(G) are scans over k that stop at the first partition found:
 chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  A
 sum search runs its scan first, then the same enumerator at the k found to
@@ -195,102 +201,121 @@ def _partition(
     when require_b) with the least min-labelled sum, or with `first` the
     lexicographically first such partition; None if there is none.
 
-    Pruning: a partial partition is completed optimistically by giving each
+    Vertices are assigned in index order, so at vertex v the unassigned
+    vertices are v..n-1, and each node costs O(k + eligible + deg(v)) work.
+
+    Bound: a partial partition is completed optimistically by giving each
     still-unopened class a single vertex and pouring every other unassigned
     vertex into the currently largest class; that completion maximises
     every prefix sum of the sorted size vector, so its min-labelled sum
-    bounds the subtree from below.
+    bounds the subtree from below.  The min-labelled weight W of the sorted
+    sizes is carried down the search: with `above[s]` the number of opened
+    classes larger than s, growing a class from s to s+1 moves it to rank
+    above[s]+1 and adds that rank to W.  The completion's weight is then
+    W + (rem-need) + need*used + need*(need+1)/2 in O(1), and W at a leaf is
+    its min labelled sum.
+
+    b-feasibility: an eligible vertex w (degree >= k-1) can still dominate
+    an opened class c if it is in c, or unassigned with no neighbour in c,
+    and it sees or can still see k-1 other classes.  In both cases w has no
+    neighbour in c, so the classes w already sees are `seen[w]`, the opened
+    classes holding a neighbour of w, and `sees[c]` masks the vertices with
+    a neighbour in c; assign and undo update both.  Per node the mask
+    `good` of eligible w with seen[w] + (unassigned neighbours) >= k-1 is
+    built once, and class c is feasible if good meets c or meets the
+    unassigned vertices outside sees[c].  At a leaf nothing is unassigned,
+    so the same test is the b-colouring check: w dominates c iff
+    seen[w] == k-1.
     """
     n, adj = g.n, g.adj
     masks = [0] * k
+    sees = [0] * k
     sizes = [0] * k
+    above = [0] * (n + 1)
+    seen = [0] * n
     assign = [0] * n
-    full = (1 << n) - 1
     eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1] if require_b else []
     if require_b and len(eligible) < k:
         return None
-    eligible_mask = 0
-    for v in eligible:
-        eligible_mask |= 1 << v
+    # eligible neighbours of each vertex, whose seen counts its assignment moves
+    watchers = [[w for w in eligible if adj[v] >> w & 1] for v in range(n)]
+    # at vertex v: eligible w good whatever seen[w] is, and (w, bit, least seen[w]) for the rest
+    sure = [0] * (n + 1)
+    short: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for v in range(n + 1):
+        for w in eligible:
+            lack = k - 1 - (adj[w] >> v).bit_count()
+            if lack <= 0:
+                sure[v] |= 1 << w
+            else:
+                short[v].append((w, 1 << w, lack))
 
     best_value: int | None = None
     best_assign: list[int] | None = None
 
     def b_feasible(v: int, used: int) -> bool:
-        un = full ^ ((1 << v) - 1)
+        good = sure[v]
+        for w, wbit, lack in short[v]:
+            if seen[w] >= lack:
+                good |= wbit
+        free = good >> v << v
         for c in range(used):
-            mc = masks[c]
-            for w in eligible:
-                aw = adj[w]
-                wbit = 1 << w
-                if wbit & mc:
-                    pass
-                elif wbit & un:
-                    if aw & mc:
-                        continue  # w already conflicts with class c
-                else:
-                    continue  # settled in another class
-                hits = 0
-                for c2 in range(used):
-                    if c2 != c and aw & masks[c2]:
-                        hits += 1
-                if hits + (aw & un).bit_count() >= k - 1:
-                    break
-            else:
+            if not (good & masks[c] or free & ~sees[c]):
                 return False
         return True
 
-    def leaf_is_b() -> bool:
-        for c in range(k):
-            m = masks[c] & eligible_mask
-            while m:
-                low = m & -m
-                aw = adj[low.bit_length() - 1]
-                m ^= low
-                if all(aw & masks[c2] for c2 in range(k) if c2 != c):
-                    break
-            else:
-                return False
-        return True
-
-    def search(v: int, used: int) -> bool:
-        """Explore the subtree; True stops the whole search."""
+    def search(v: int, used: int, weight: int) -> bool:
+        """Explore the subtree; True stops the whole search.  `weight` is the
+        min-labelled sum of the sizes so far."""
         nonlocal best_value, best_assign
         tracker.tick()
         if v == n:
-            if used != k or (require_b and not leaf_is_b()):
+            if used != k or (require_b and not b_feasible(n, k)):
                 return False
-            value = sum(i * s for i, s in enumerate(sorted(sizes, reverse=True), start=1))
-            if best_value is None or value < best_value:
-                best_value, best_assign = value, assign.copy()
+            if best_value is None or weight < best_value:
+                best_value, best_assign = weight, assign.copy()
             return first
         need = k - used
         rem = n - v
         if need > rem:
             return False
-        if best_value is not None and used:
-            padded = sorted(sizes[:used], reverse=True)
-            padded[0] += rem - need
-            padded += [1] * need
-            if sum(i * s for i, s in enumerate(padded, start=1)) >= best_value:
-                return False
+        if (
+            best_value is not None
+            and used
+            and weight + rem - need + need * used + need * (need + 1) // 2 >= best_value
+        ):
+            return False
         if require_b and used and not b_feasible(v, used):
             return False
         av = adj[v]
         vbit = 1 << v
         for c in range(used + 1 if used < k else k):
-            if av & masks[c]:
+            mc = masks[c]
+            if av & mc:
                 continue
-            masks[c] |= vbit
-            sizes[c] += 1
+            sc = sees[c]
+            s = sizes[c]
+            rank = above[s] + 1
+            above[s] = rank
+            sizes[c] = s + 1
+            masks[c] = mc | vbit
+            sees[c] = sc | av
+            for w in watchers[v]:
+                if not sc >> w & 1:
+                    seen[w] += 1
             assign[v] = c
-            if search(v + 1, used + 1 if c == used else used):
+            if search(v + 1, used + 1 if c == used else used, weight + rank):
                 return True
-            masks[c] ^= vbit
-            sizes[c] -= 1
+            for w in watchers[v]:
+                if not sc >> w & 1:
+                    seen[w] -= 1
+            sees[c] = sc
+            masks[c] = mc
+            sizes[c] = s
+            above[s] = rank - 1
         return False
 
-    search(0, 0)
+    search(0, 0, 0)
     if best_assign is None:
         return None
     classes: list[list[int]] = [[] for _ in range(k)]

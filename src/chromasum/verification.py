@@ -140,8 +140,9 @@ def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumRes
 
 def _solve_group(task) -> dict:
     """Solve every requested quantity for one (family, n), each row one solve
-    call on its own budget; a *_sum_max is relabelled from its *_sum_min when
-    the group solved that."""
+    call on its own budget.  A *_sum_max is its *_sum_min search relabelled,
+    so when the group ran that search the max row reuses its outcome: the
+    max labelling of its partition, or the same abort."""
     family, n, quantities, max_nodes, max_time = task
     budget = SearchBudget(max_nodes=max_nodes, max_time=max_time)
     g = families.make(family, n)
@@ -150,11 +151,14 @@ def _solve_group(task) -> dict:
     for quantity in quantities:
         started = time.monotonic()
         twin = quantity.removesuffix("_max") + "_min"
-        try:
-            if quantity.endswith("_sum_max") and twin in solved:
-                solved[quantity] = max_twin(solved[twin])
+        if quantity.endswith("_sum_max") and twin in out:
+            if twin in solved:
+                out[quantity] = {"status": "ok", "result": max_twin(solved[twin]).to_json()}
             else:
-                solved[quantity] = solve(g, quantity, budget)
+                out[quantity] = dict(out[twin])
+            continue
+        try:
+            solved[quantity] = solve(g, quantity, budget)
             out[quantity] = {"status": "ok", "result": solved[quantity].to_json()}
         except BudgetExhausted as exc:
             elapsed = int((time.monotonic() - started) * 1000)

@@ -30,3 +30,106 @@ def exhaustive_labeling_extremum(class_sizes, direction):
         if best is None or (value < best if direction == "min" else value > best):
             best = value
     return best
+
+
+def reference_partition(g, k, tracker, require_b, first=False):
+    """The loop version of `solvers._partition`, kept as the reference for the
+    incremental one: each node rescans every opened class against every
+    eligible vertex for b-feasibility, sorts and pads the class sizes for the
+    bound, and checks at a leaf that each class has a vertex seeing every
+    other class.  Same pruning decisions, so the same classes and nodes."""
+    n, adj = g.n, g.adj
+    masks = [0] * k
+    sizes = [0] * k
+    assign = [0] * n
+    full = (1 << n) - 1
+    eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1] if require_b else []
+    if require_b and len(eligible) < k:
+        return None
+    eligible_mask = 0
+    for v in eligible:
+        eligible_mask |= 1 << v
+
+    best_value = None
+    best_assign = None
+
+    def b_feasible(v, used):
+        un = full ^ ((1 << v) - 1)
+        for c in range(used):
+            mc = masks[c]
+            for w in eligible:
+                aw = adj[w]
+                wbit = 1 << w
+                if wbit & mc:
+                    pass
+                elif wbit & un:
+                    if aw & mc:
+                        continue  # w already conflicts with class c
+                else:
+                    continue  # settled in another class
+                hits = 0
+                for c2 in range(used):
+                    if c2 != c and aw & masks[c2]:
+                        hits += 1
+                if hits + (aw & un).bit_count() >= k - 1:
+                    break
+            else:
+                return False
+        return True
+
+    def leaf_is_b():
+        for c in range(k):
+            m = masks[c] & eligible_mask
+            while m:
+                low = m & -m
+                aw = adj[low.bit_length() - 1]
+                m ^= low
+                if all(aw & masks[c2] for c2 in range(k) if c2 != c):
+                    break
+            else:
+                return False
+        return True
+
+    def search(v, used):
+        nonlocal best_value, best_assign
+        tracker.tick()
+        if v == n:
+            if used != k or (require_b and not leaf_is_b()):
+                return False
+            value = sum(i * s for i, s in enumerate(sorted(sizes, reverse=True), start=1))
+            if best_value is None or value < best_value:
+                best_value, best_assign = value, assign.copy()
+            return first
+        need = k - used
+        rem = n - v
+        if need > rem:
+            return False
+        if best_value is not None and used:
+            padded = sorted(sizes[:used], reverse=True)
+            padded[0] += rem - need
+            padded += [1] * need
+            if sum(i * s for i, s in enumerate(padded, start=1)) >= best_value:
+                return False
+        if require_b and used and not b_feasible(v, used):
+            return False
+        av = adj[v]
+        vbit = 1 << v
+        for c in range(used + 1 if used < k else k):
+            if av & masks[c]:
+                continue
+            masks[c] |= vbit
+            sizes[c] += 1
+            assign[v] = c
+            if search(v + 1, used + 1 if c == used else used):
+                return True
+            masks[c] ^= vbit
+            sizes[c] -= 1
+        return False
+
+    search(0, 0)
+    if best_assign is None:
+        return None
+    classes = [[] for _ in range(k)]
+    for v, c in enumerate(best_assign):
+        classes[c].append(v)
+    return classes

@@ -1,6 +1,7 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
-against the brute-force oracle, determinism of the chi witness, and the
-min/max duality of the sums."""
+against the brute-force oracle, determinism of the chi witness, the
+min/max duality of the sums, and the incremental partition enumerator
+against its loop version."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 from chromasum.coloring import is_proper
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
-from chromasum.solvers import b_chromatic_number, b_sum, chi_sum, chromatic_number, max_twin
+from chromasum.solvers import (
+    SearchBudget,
+    _partition,
+    _Tracker,
+    b_chromatic_number,
+    b_sum,
+    chi_sum,
+    chromatic_number,
+    max_twin,
+)
+from helpers import reference_partition
 
 
 @st.composite
@@ -57,3 +68,17 @@ def test_chi_sum_pair(g):
 def test_b_sum_pair_and_phi(g):
     assert b_chromatic_number(g).value == brute_force_oracle(g, "b_chromatic").value
     check_sum_pair(g, b_sum, "b_sum")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_partition_matches_reference(g):
+    # same pruning decisions as the loop version: same classes, same nodes
+    for k in range(1, g.n + 1):
+        for require_b in (False, True):
+            for first in (False, True):
+                runs = []
+                for enumerate_partitions in (_partition, reference_partition):
+                    tracker = _Tracker(SearchBudget())
+                    runs.append((enumerate_partitions(g, k, tracker, require_b, first), tracker.nodes))
+                assert runs[0] == runs[1], (k, require_b, first)

@@ -199,6 +199,26 @@ class TestBudget:
             chi_sum(double_wheel(5), "min", budget=SearchBudget(max_nodes=10))
 
 
+class TestNodeCounts:
+    """Nodes of whole searches on family graphs, scan included.  Node counts
+    are deterministic, so a change to the pruning or to the order of the
+    search shows here."""
+
+    @pytest.mark.parametrize(
+        "solver,kind,n,nodes",
+        [
+            (b_sum, "sunlet", 8, 18_539),
+            (b_sum, "web", 6, 18_434),
+            (b_sum, "closed_helm", 8, 25_864),
+            (b_sum, "helm", 8, 30_529),
+            (b_sum, "double_wheel", 9, 13_306),
+            (chi_sum, "double_wheel", 9, 13_321),
+        ],
+    )
+    def test_min_search_nodes(self, solver, kind, n, nodes):
+        assert solver(make(kind, n), "min").nodes_explored == nodes
+
+
 class TestSolveDispatcher:
     def test_matches_direct_calls(self):
         g = sunlet(4)

@@ -107,6 +107,23 @@ class TestRunCampaign:
         (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget)
         assert row.status == "aborted"
 
+    def test_aborted_min_aborts_max_without_search(self, monkeypatch):
+        # the max row is the min search relabelled, so it aborts where the
+        # min did; searching again would spend a second budget
+        calls = []
+        real = verification.b_sum
+        monkeypatch.setattr(
+            verification, "b_sum", lambda g, direction, budget=None: calls.append(direction) or real(g, direction, budget)
+        )
+        budget = SearchBudget(max_nodes=18517)
+        rows = run_campaign(["sunlet"], 8, 8, ["b_sum_min", "b_sum_max"], budget=budget)
+        assert [(r.quantity, r.status, r.nodes_explored) for r in rows] == [
+            ("b_sum_min", "aborted", 18518),
+            ("b_sum_max", "aborted", 18518),
+        ]
+        assert calls == ["min"]
+        assert rows[0].elapsed_ms == rows[1].elapsed_ms
+
     def test_row_nodes_match_direct_solve(self):
         rows = run_campaign(["sunlet", "web"], 3, 4, ALL_QUANTITIES)
         assert len(rows) == 18
