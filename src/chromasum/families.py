@@ -1,31 +1,31 @@
-"""Named constructors for the cycle-derived graph families under study.
+"""The cycle-derived graph families under study, built from one ring table.
 
-Every generator uses a deterministic vertex id layout -- hub first, then
-inner-cycle vertices in ring order, then outer-cycle vertices, then
-pendants -- so solver witnesses are reproducible and comparable between
-runs.  Each generated graph carries a family tag and per-vertex roles.
+Every family is an optional hub followed by rings of n vertices each.  A
+ring is a cycle or a set of pendants; the hub joins some rings by spokes;
+a rung pair (a, b) joins vertex i of ring a to vertex i of ring b.  Vertex
+ids are deterministic -- hub 0 if present, then each ring's vertices in
+ring order, ring after ring -- so solver witnesses are reproducible and
+comparable between runs.  Each generated graph carries a family tag and
+per-vertex roles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    HUB,
-    INNER_CYCLE,
-    OUTER_CYCLE,
-    PENDANT,
-    Graph,
-    VertexRole,
-    cartesian_product,
-    cycle,
-    disjoint_union,
-    join,
-    path,
-    single_vertex,
-)
+from .graphs import HUB, INNER_CYCLE, OUTER_CYCLE, PENDANT, Graph, VertexRole
 
-FAMILY_KINDS = ("wheel", "double_wheel", "helm", "closed_helm", "sunlet", "web")
+# kind -> (ring roles in id order, rings the hub joins, rung pairs)
+RINGS = {
+    "wheel": ((INNER_CYCLE,), (0,), ()),
+    "double_wheel": ((INNER_CYCLE, OUTER_CYCLE), (0, 1), ()),
+    "helm": ((INNER_CYCLE, PENDANT), (0,), ((0, 1),)),
+    "closed_helm": ((INNER_CYCLE, OUTER_CYCLE), (0,), ((0, 1),)),
+    "sunlet": ((INNER_CYCLE, PENDANT), (), ((0, 1),)),
+    "web": ((INNER_CYCLE, OUTER_CYCLE, PENDANT), (), ((0, 1), (1, 2))),
+}
+
+FAMILY_KINDS = tuple(RINGS)
 MIN_N = 3
 
 
@@ -56,81 +56,22 @@ def parse_family(spec: str) -> Family:
     return Family(kind, n)
 
 
-def _ring(kind: str, n: int) -> list[VertexRole]:
-    return [VertexRole(kind, i) for i in range(1, n + 1)]
+def make(kind: str, n: int) -> Graph:
+    """The graph of family `kind` with rings of n vertices."""
+    Family(kind, n)
+    rings, spokes, rungs = RINGS[kind]
+    hub = 1 if spokes else 0
 
+    def at(ring: int, i: int) -> int:
+        return hub + ring * n + i % n
 
-def wheel(n: int) -> Graph:
-    """Cycle C_n joined to a single hub vertex (n+1 vertices, 2n edges)."""
-    _check(n)
-    g = join(single_vertex(), cycle(n))
-    roles = [VertexRole(HUB, 0)] + _ring(INNER_CYCLE, n)
-    return Graph(g.n, g.edges, family=("wheel", n), roles=tuple(roles))
-
-
-def double_wheel(n: int) -> Graph:
-    """Two disjoint copies of C_n joined to one hub (2n+1 vertices, 4n edges)."""
-    _check(n)
-    g = join(single_vertex(), disjoint_union(cycle(n), cycle(n)))
-    roles = [VertexRole(HUB, 0)] + _ring(INNER_CYCLE, n) + _ring(OUTER_CYCLE, n)
-    return Graph(g.n, g.edges, family=("double_wheel", n), roles=tuple(roles))
-
-
-def helm(n: int) -> Graph:
-    """Wheel with one pendant attached to each cycle vertex (2n+1, 3n)."""
-    _check(n)
-    w = wheel(n)
-    edges = list(w.edges) + [(i, n + i) for i in range(1, n + 1)]
-    roles = [VertexRole(HUB, 0)] + _ring(INNER_CYCLE, n) + _ring(PENDANT, n)
-    return Graph(2 * n + 1, edges, family=("helm", n), roles=tuple(roles))
-
-
-def closed_helm(n: int) -> Graph:
-    """Helm whose pendants are joined into an outer cycle (2n+1, 4n)."""
-    _check(n)
-    h = helm(n)
-    ring = [(n + i, n + i % n + 1) for i in range(1, n + 1)]
-    roles = [VertexRole(HUB, 0)] + _ring(INNER_CYCLE, n) + _ring(OUTER_CYCLE, n)
-    return Graph(2 * n + 1, list(h.edges) + ring, family=("closed_helm", n), roles=tuple(roles))
-
-
-def sunlet(n: int) -> Graph:
-    """Corona C_n (.) K_1: one pendant per cycle vertex (2n, 2n)."""
-    _check(n)
-    from .graphs import corona_k1
-
-    g = corona_k1(cycle(n))
-    roles = _ring(INNER_CYCLE, n) + _ring(PENDANT, n)
-    return Graph(g.n, g.edges, family=("sunlet", n), roles=tuple(roles))
-
-
-def web(n: int) -> Graph:
-    """Prism C_n x P_2 with a pendant on every outer-cycle vertex (3n, 4n)."""
-    _check(n)
-    prism = cartesian_product(cycle(n), path(2))
-    edges = list(prism.edges) + [(n + i, 2 * n + i) for i in range(n)]
-    roles = _ring(INNER_CYCLE, n) + _ring(OUTER_CYCLE, n) + _ring(PENDANT, n)
-    return Graph(3 * n, edges, family=("web", n), roles=tuple(roles))
-
-
-_BUILDERS = {
-    "wheel": wheel,
-    "double_wheel": double_wheel,
-    "helm": helm,
-    "closed_helm": closed_helm,
-    "sunlet": sunlet,
-    "web": web,
-}
+    cycles = [r for r, role in enumerate(rings) if role != PENDANT]
+    edges = [(0, at(r, i)) for r in spokes for i in range(n)]
+    edges += [(at(r, i), at(r, i + 1)) for r in cycles for i in range(n)]
+    edges += [(at(a, i), at(b, i)) for a, b in rungs for i in range(n)]
+    roles = [VertexRole(HUB, 0)] * hub + [VertexRole(role, i) for role in rings for i in range(1, n + 1)]
+    return Graph(hub + len(rings) * n, edges, family=(kind, n), roles=tuple(roles))
 
 
 def build(family: Family) -> Graph:
-    return _BUILDERS[family.kind](family.n)
-
-
-def make(kind: str, n: int) -> Graph:
-    return build(Family(kind, n))
-
-
-def _check(n: int):
-    if n < MIN_N:
-        raise ValueError(f"family parameter must be >= {MIN_N}, got {n}")
+    return make(family.kind, family.n)

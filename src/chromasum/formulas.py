@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .families import MIN_N
+from .solvers import QUANTITIES
 
 COVERED_FAMILIES = ("double_wheel", "helm", "closed_helm", "sunlet", "web")
-
-_QUANTITY_ORDER = ("chi", "chi_sum_min", "chi_sum_max", "b_chromatic", "b_sum_min", "b_sum_max")
 
 _CH_NOTE = (
     "published branch conditions overlap for odd n >= 9; "
@@ -36,11 +35,10 @@ class FormulaEntry:
     source: str
     predictor: Callable[[int], int] = field(repr=False)
     note: str = ""
-    min_n: int = MIN_N
 
     def predict(self, n: int) -> int:
-        if n < self.min_n:
-            raise ValueError(f"{self.family} needs n >= {self.min_n}, got {n}")
+        if n < MIN_N:
+            raise ValueError(f"{self.family} needs n >= {MIN_N}, got {n}")
         return self.predictor(n)
 
 
@@ -158,7 +156,7 @@ _BY_KEY = {(e.family, e.quantity): e for e in _ENTRIES}
 def coverage_table() -> list[FormulaEntry]:
     """All published (family, quantity) formula entries, in report order:
     family declaration order, then quantity order within a family."""
-    order = {q: i for i, q in enumerate(_QUANTITY_ORDER)}
+    order = {q: i for i, q in enumerate(QUANTITIES)}
     fam_order = {f: i for i, f in enumerate(COVERED_FAMILIES)}
     return sorted(_ENTRIES, key=lambda e: (fam_order[e.family], order[e.quantity]))
 

@@ -1,10 +1,9 @@
-"""Immutable simple undirected graphs with bitset adjacency, plus the
-binary operators (join, corona, Cartesian product) used to assemble the
-cycle-derived families this package studies.
+"""Immutable simple undirected graphs with bitset adjacency, the vertex
+roles that generated family graphs carry, and the edge-list and DOT
+output formats.
 
-Vertices are dense integers 0..n-1.  Operators return new graphs; nothing
-mutates after construction, so graphs can be shared freely between
-concurrent solver jobs.
+Vertices are dense integers 0..n-1.  Nothing mutates after construction,
+so graphs can be shared freely between concurrent solver jobs.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ HUB = "hub"
 INNER_CYCLE = "inner_cycle"
 OUTER_CYCLE = "outer_cycle"
 PENDANT = "pendant"
-
-ROLE_KINDS = (HUB, INNER_CYCLE, OUTER_CYCLE, PENDANT)
 
 
 class VertexRole(NamedTuple):
@@ -91,9 +88,6 @@ class Graph:
             return 0
         return max(a.bit_count() for a in self.adj)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))
-
     def neighbors(self, v: int) -> list[int]:
         self._check_vertex(v)
         mask = self.adj[v]
@@ -104,100 +98,9 @@ class Graph:
             mask ^= low
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= self.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
-
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        mask = 0
-        for v in vertices:
-            self._check_vertex(v)
-            mask |= 1 << v
-        m = mask
-        while m:
-            low = m & -m
-            if self.adj[low.bit_length() - 1] & mask:
-                return False
-            m ^= low
-        return True
-
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
-def single_vertex() -> Graph:
-    return Graph(1, [])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path needs >= 1 vertex, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    off = g.n
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    return Graph(g.n + h.n, edges)
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus every cross edge."""
-    off = g.n
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    edges += [(u, v + off) for u in range(g.n) for v in range(h.n)]
-    return Graph(g.n + h.n, edges)
-
-
-def corona_k1(g: Graph) -> Graph:
-    """Attach one new pendant vertex to each vertex of g."""
-    edges = list(g.edges) + [(v, g.n + v) for v in range(g.n)]
-    return Graph(2 * g.n, edges)
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (a, b) gets id a + b * g.n, so copies of
-    g indexed by h's vertices occupy contiguous id blocks."""
-    n = g.n * h.n
-    edges = []
-    for b in range(h.n):
-        off = b * g.n
-        edges += [(u + off, v + off) for u, v in g.edges]
-    for u, v in h.edges:
-        edges += [(a + u * g.n, a + v * g.n) for a in range(g.n)]
-    return Graph(n, edges)
 
 
 def to_edgelist(g: Graph) -> str:
@@ -206,17 +109,6 @@ def to_edgelist(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines += [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
-
-
-def from_edgelist(text: str) -> Graph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise ValueError("edge list must start with an `n m` header line")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = [(int(u), int(v)) for u, v in rows[1:]]
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
 
 
 def to_dot(g: Graph) -> str:

@@ -50,8 +50,6 @@ QUANTITIES = (
     "b_sum_max",
 )
 
-SUM_QUANTITIES = ("chi_sum_min", "chi_sum_max", "b_sum_min", "b_sum_max")
-
 
 @dataclass(frozen=True)
 class SearchBudget:

@@ -102,7 +102,7 @@ class ResultsCache:
 
     def get(self, family: str, n: int, quantity: str) -> SumResult | None:
         entry = self._entries.get(self._key(family, n, quantity))
-        if entry and entry.get("solver_version") == SOLVER_VERSION:
+        if isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION:
             try:
                 return SumResult.from_json(entry["result"])
             except Exception:

@@ -1,4 +1,37 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles and generic graphs for the test suite."""
+
+from chromasum.graphs import Graph
+
+
+def cycle(n):
+    """C_n on vertices 0..n-1 in ring order."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def empty_graph(n):
+    """n vertices, no edges."""
+    return Graph(n, [])
+
+
+def star(leaves):
+    """Centre 0 joined to leaves 1..leaves."""
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def is_connected(g):
+    """Connectivity by BFS from vertex 0; independent of the solvers."""
+    seen = {0} if g.n else set()
+    queue = list(seen)
+    while queue:
+        for u in g.neighbors(queue.pop()):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == g.n
 
 
 def bfs_two_colorable(g):

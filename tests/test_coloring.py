@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from helpers import exhaustive_labeling_extremum
+from helpers import complete_graph, cycle, exhaustive_labeling_extremum
 
 from chromasum.coloring import (
     Coloring,
@@ -13,8 +13,7 @@ from chromasum.coloring import (
     optimal_labeling,
     theta,
 )
-from chromasum.families import helm, web, wheel
-from chromasum.graphs import complete_graph, cycle
+from chromasum.families import make
 
 
 class TestColoringType:
@@ -139,7 +138,7 @@ class TestPropriety:
     def test_published_helm3_classes(self):
         # hub=0, rim v_i=1..3, pendants u_i=4..6; classes
         # {v1,u2,u3}, {v2,u1}, {v3}, {v}
-        g = helm(3)
+        g = make("helm", 3)
         coloring = optimal_labeling([{1, 5, 6}, {2, 4}, {3}, {0}], "min")
         assert is_proper(g, coloring)
         assert coloring_sum(coloring) == 14
@@ -151,20 +150,20 @@ class TestPropriety:
 
 class TestBPredicates:
     def test_wheel_hub_is_b_vertex(self):
-        g = wheel(4)
+        g = make("wheel", 4)
         c = Coloring(3, [3, 1, 2, 1, 2])  # hub=0 coloured 3
         assert is_proper(g, c)
         assert is_b_vertex(g, c, 0)
 
     def test_helm_pendant_never_b_vertex(self):
-        g = helm(3)
+        g = make("helm", 3)
         c = optimal_labeling([{1, 5, 6}, {2, 4}, {3}, {0}], "min")
         for pendant in (4, 5, 6):
             assert not is_b_vertex(g, c, pendant)  # degree 1 < k-1
 
     def test_web3_published_colouring(self):
         # inner v=0..2, outer u=3..5, pendants w=6..8
-        g = web(3)
+        g = make("web", 3)
         c = Coloring(4, [1, 2, 3, 4, 3, 2, 1, 1, 1])
         assert is_proper(g, c)
         assert is_b_vertex(g, c, 0)  # v1 sees colours 2,3,4
@@ -180,7 +179,7 @@ class TestBPredicates:
 
     def test_published_helm4_five_colouring(self):
         # classes {v1,u3},{v2,u4},{v3,u1},{v4,u2},{v}
-        g = helm(4)
+        g = make("helm", 4)
         c = optimal_labeling([{1, 7}, {2, 8}, {3, 5}, {4, 6}, {0}], "min")
         assert is_b_colouring(g, c)
 

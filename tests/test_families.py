@@ -1,21 +1,10 @@
 from collections import Counter
 
 import pytest
+from helpers import bfs_two_colorable, is_connected
 
-from chromasum.families import (
-    FAMILY_KINDS,
-    Family,
-    build,
-    closed_helm,
-    double_wheel,
-    helm,
-    make,
-    parse_family,
-    sunlet,
-    web,
-    wheel,
-)
-from chromasum.graphs import HUB, INNER_CYCLE, OUTER_CYCLE, PENDANT
+from chromasum.families import FAMILY_KINDS, Family, build, make, parse_family
+from chromasum.graphs import HUB, INNER_CYCLE, OUTER_CYCLE, PENDANT, VertexRole
 
 # (vertices, edges, [(degree, count), ...]) closed forms per family; degree
 # values can coincide at small n, so counts are kept as pairs
@@ -40,7 +29,7 @@ def test_counts_degrees_connectivity(kind, n):
     for deg, count in degrees:
         want[deg] += count
     assert Counter(g.degree(v) for v in range(g.n)) == want
-    assert g.is_connected()
+    assert is_connected(g)
     assert g.family == (kind, n)
 
 
@@ -66,16 +55,16 @@ def test_roles_round_trip(kind, n):
 
 
 def test_role_counts():
-    assert Counter(r.kind for r in wheel(5).roles) == {HUB: 1, INNER_CYCLE: 5}
-    assert Counter(r.kind for r in double_wheel(5).roles) == {HUB: 1, INNER_CYCLE: 5, OUTER_CYCLE: 5}
-    assert Counter(r.kind for r in helm(5).roles) == {HUB: 1, INNER_CYCLE: 5, PENDANT: 5}
-    assert Counter(r.kind for r in closed_helm(5).roles) == {HUB: 1, INNER_CYCLE: 5, OUTER_CYCLE: 5}
-    assert Counter(r.kind for r in sunlet(5).roles) == {INNER_CYCLE: 5, PENDANT: 5}
-    assert Counter(r.kind for r in web(5).roles) == {INNER_CYCLE: 5, OUTER_CYCLE: 5, PENDANT: 5}
+    assert Counter(r.kind for r in make("wheel", 5).roles) == {HUB: 1, INNER_CYCLE: 5}
+    assert Counter(r.kind for r in make("double_wheel", 5).roles) == {HUB: 1, INNER_CYCLE: 5, OUTER_CYCLE: 5}
+    assert Counter(r.kind for r in make("helm", 5).roles) == {HUB: 1, INNER_CYCLE: 5, PENDANT: 5}
+    assert Counter(r.kind for r in make("closed_helm", 5).roles) == {HUB: 1, INNER_CYCLE: 5, OUTER_CYCLE: 5}
+    assert Counter(r.kind for r in make("sunlet", 5).roles) == {INNER_CYCLE: 5, PENDANT: 5}
+    assert Counter(r.kind for r in make("web", 5).roles) == {INNER_CYCLE: 5, OUTER_CYCLE: 5, PENDANT: 5}
 
 
 def test_closed_helm_outer_ring_is_cycle():
-    g = closed_helm(6)
+    g = make("closed_helm", 6)
     outer = [v for v in range(g.n) if g.roles[v].kind == OUTER_CYCLE]
     outer_set = set(outer)
     for v in outer:
@@ -84,36 +73,105 @@ def test_closed_helm_outer_ring_is_cycle():
 
 
 def test_spot_shapes():
-    assert (double_wheel(4).n, double_wheel(4).m) == (9, 16)
-    assert double_wheel(3).degree(0) == 6  # hub joins all six cycle vertices
-    assert (helm(3).n, helm(3).m) == (7, 9)
-    assert sum(1 for v in range(helm(4).n) if helm(4).degree(v) == 1) == 4
-    assert (closed_helm(3).n, closed_helm(3).m) == (7, 12)
-    assert closed_helm(4).n == helm(4).n
-    assert (sunlet(3).n, sunlet(3).m) == (6, 6)
-    assert (web(3).n, web(3).m) == (9, 12)
-    assert web(4).max_degree() == 4
-    assert (wheel(4).n, wheel(4).m) == (5, 8)
+    assert (make("double_wheel", 4).n, make("double_wheel", 4).m) == (9, 16)
+    assert make("double_wheel", 3).degree(0) == 6  # hub joins all six cycle vertices
+    assert (make("helm", 3).n, make("helm", 3).m) == (7, 9)
+    assert sum(1 for v in range(make("helm", 4).n) if make("helm", 4).degree(v) == 1) == 4
+    assert (make("closed_helm", 3).n, make("closed_helm", 3).m) == (7, 12)
+    assert make("closed_helm", 4).n == make("helm", 4).n
+    assert (make("sunlet", 3).n, make("sunlet", 3).m) == (6, 6)
+    assert (make("web", 3).n, make("web", 3).m) == (9, 12)
+    assert make("web", 4).max_degree() == 4
+    assert (make("wheel", 4).n, make("wheel", 4).m) == (5, 8)
 
 
 def test_closed_helm_degree_sequence():
-    g = closed_helm(5)
+    g = make("closed_helm", 5)
     assert g.degree(0) == 5
     assert sorted(g.degree(v) for v in range(1, 6)) == [4] * 5
     assert sorted(g.degree(v) for v in range(6, 11)) == [3] * 5
 
 
 def test_wheel_3_is_complete():
-    g = wheel(3)
+    g = make("wheel", 3)
     assert g.m == 6 and all(g.degree(v) == 3 for v in range(4))
 
 
 def test_bipartite_even_families():
-    from helpers import bfs_two_colorable
+    assert bfs_two_colorable(make("sunlet", 4))
+    assert bfs_two_colorable(make("web", 4))
+    assert not bfs_two_colorable(make("sunlet", 5))
 
-    assert bfs_two_colorable(sunlet(4))
-    assert bfs_two_colorable(web(4))
-    assert not bfs_two_colorable(sunlet(5))
+
+# Witness files list colours by vertex id, so the id layout is pinned:
+# (kind, n) -> (roles as role letter + ring index, edges).
+LAYOUT = {
+    ("wheel", 4): (
+        "H0 I1 I2 I3 I4",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)),
+    ),
+    ("wheel", 5): (
+        "H0 I1 I2 I3 I4 I5",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5)),
+    ),
+    ("double_wheel", 4): (
+        "H0 I1 I2 I3 I4 O1 O2 O3 O4",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (2, 3),
+         (3, 4), (5, 6), (5, 8), (6, 7), (7, 8)),
+    ),
+    ("double_wheel", 5): (
+        "H0 I1 I2 I3 I4 I5 O1 O2 O3 O4 O5",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (1, 2),
+         (1, 5), (2, 3), (3, 4), (4, 5), (6, 7), (6, 10), (7, 8), (8, 9), (9, 10)),
+    ),
+    ("helm", 4): (
+        "H0 I1 I2 I3 I4 P1 P2 P3 P4",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7),
+         (4, 8)),
+    ),
+    ("helm", 5): (
+        "H0 I1 I2 I3 I4 I5 P1 P2 P3 P4 P5",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4),
+         (3, 8), (4, 5), (4, 9), (5, 10)),
+    ),
+    ("closed_helm", 4): (
+        "H0 I1 I2 I3 I4 O1 O2 O3 O4",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7),
+         (4, 8), (5, 6), (5, 8), (6, 7), (7, 8)),
+    ),
+    ("closed_helm", 5): (
+        "H0 I1 I2 I3 I4 I5 O1 O2 O3 O4 O5",
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4),
+         (3, 8), (4, 5), (4, 9), (5, 10), (6, 7), (6, 10), (7, 8), (8, 9), (9, 10)),
+    ),
+    ("sunlet", 4): (
+        "I1 I2 I3 I4 P1 P2 P3 P4",
+        ((0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7)),
+    ),
+    ("sunlet", 5): (
+        "I1 I2 I3 I4 I5 P1 P2 P3 P4 P5",
+        ((0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9)),
+    ),
+    ("web", 4): (
+        "I1 I2 I3 I4 O1 O2 O3 O4 P1 P2 P3 P4",
+        ((0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 7), (4, 8),
+         (5, 6), (5, 9), (6, 7), (6, 10), (7, 11)),
+    ),
+    ("web", 5): (
+        "I1 I2 I3 I4 I5 O1 O2 O3 O4 O5 P1 P2 P3 P4 P5",
+        ((0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9), (5, 6),
+         (5, 9), (5, 10), (6, 7), (6, 11), (7, 8), (7, 12), (8, 9), (8, 13), (9, 14)),
+    ),
+}
+_ROLE_LETTERS = {"H": HUB, "I": INNER_CYCLE, "O": OUTER_CYCLE, "P": PENDANT}
+
+
+@pytest.mark.parametrize("kind, n", sorted(LAYOUT))
+def test_vertex_layout_pinned(kind, n):
+    roles, edges = LAYOUT[kind, n]
+    g = make(kind, n)
+    assert g.edges == edges
+    assert g.roles == tuple(VertexRole(_ROLE_LETTERS[r[0]], int(r[1:])) for r in roles.split())
 
 
 def test_parse_family():

@@ -1,10 +1,10 @@
 import json
 
 import pytest
+from helpers import complete_graph, cycle, empty_graph, star
 
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
-from chromasum.families import double_wheel, helm, make, sunlet, web, wheel
-from chromasum.graphs import complete_graph, cycle, empty_graph, join, single_vertex
+from chromasum.families import make
 from chromasum.solvers import (
     QUANTITIES,
     BudgetExhausted,
@@ -23,12 +23,12 @@ class TestChromaticNumber:
     @pytest.mark.parametrize(
         "g,expected",
         [
-            (double_wheel(6), 3),
-            (double_wheel(5), 4),
-            (sunlet(4), 2),
-            (wheel(5), 4),
-            (helm(3), 4),
-            (web(4), 2),
+            (make("double_wheel", 6), 3),
+            (make("double_wheel", 5), 4),
+            (make("sunlet", 4), 2),
+            (make("wheel", 5), 4),
+            (make("helm", 3), 4),
+            (make("web", 4), 2),
             (complete_graph(5), 5),
             (cycle(7), 3),
         ],
@@ -56,10 +56,10 @@ class TestChromaticNumber:
 
 class TestChiSum:
     def test_double_wheel_even_min(self):
-        assert chi_sum(double_wheel(6), "min").value == 21
+        assert chi_sum(make("double_wheel", 6), "min").value == 21
 
     def test_double_wheel_odd_max(self):
-        assert chi_sum(double_wheel(5), "max").value == 33
+        assert chi_sum(make("double_wheel", 5), "max").value == 33
 
     def test_cycle4_min(self):
         assert chi_sum(cycle(4), "min").value == 6
@@ -67,18 +67,18 @@ class TestChiSum:
     def test_helm3_beats_published_construction(self):
         # hub + all three pendants form an independent class, giving
         # theta=(4,1,1,1) and sum 13; oracle-confirmed
-        assert chi_sum(helm(3), "min").value == 13
+        assert chi_sum(make("helm", 3), "min").value == 13
 
     def test_even_web_forced_bipartition(self):
         # connected bipartite graph: the 2-colouring is unique, so min = max
-        lo = chi_sum(web(4), "min")
-        hi = chi_sum(web(4), "max")
+        lo = chi_sum(make("web", 4), "min")
+        hi = chi_sum(make("web", 4), "max")
         assert lo.value == hi.value == 18
 
     def test_witness_contract(self):
         for direction in ("min", "max"):
-            r = chi_sum(helm(4), direction)
-            assert is_proper(helm(4), r.witness)
+            r = chi_sum(make("helm", 4), direction)
+            assert is_proper(make("helm", 4), r.witness)
             assert coloring_sum(r.witness) == r.value
 
     def test_chi_parameter_shortcut(self):
@@ -94,11 +94,10 @@ class TestMBound:
         assert m_bound(complete_graph(4)) == 4
 
     def test_star(self):
-        star = join(single_vertex(), empty_graph(5))
-        assert m_bound(star) == 2
+        assert m_bound(star(5)) == 2
 
     def test_web5(self):
-        assert m_bound(web(5)) == 5
+        assert m_bound(make("web", 5)) == 5
 
     def test_cycle(self):
         assert m_bound(cycle(5)) == 3
@@ -108,13 +107,13 @@ class TestBChromatic:
     @pytest.mark.parametrize(
         "g,expected",
         [
-            (web(3), 4),
-            (web(5), 5),
+            (make("web", 3), 4),
+            (make("web", 5), 5),
             (complete_graph(4), 4),
             (cycle(4), 2),
             (cycle(5), 3),
-            (helm(6), 5),
-            (sunlet(5), 3),
+            (make("helm", 6), 5),
+            (make("sunlet", 5), 3),
         ],
     )
     def test_values(self, g, expected):
@@ -124,7 +123,7 @@ class TestBChromatic:
         assert is_b_colouring(g, r.witness)
 
     def test_bounded_by_m(self):
-        for g in (web(4), helm(5), double_wheel(4)):
+        for g in (make("web", 4), make("helm", 5), make("double_wheel", 4)):
             r = b_chromatic_number(g)
             assert chromatic_number(g).value <= r.value <= m_bound(g)
 
@@ -133,26 +132,26 @@ class TestBSum:
     def test_helm3(self):
         # the published 14/21 values are beaten by the hub+pendants class;
         # 13 and 22 are oracle-confirmed exact
-        assert b_sum(helm(3), "min").value == 13
-        assert b_sum(helm(3), "max").value == 22
+        assert b_sum(make("helm", 3), "min").value == 13
+        assert b_sum(make("helm", 3), "max").value == 22
 
     def test_sunlet5(self):
-        assert b_sum(sunlet(5), "min").value == 16
-        assert b_sum(sunlet(5), "max").value == 24
+        assert b_sum(make("sunlet", 5), "min").value == 16
+        assert b_sum(make("sunlet", 5), "max").value == 24
 
     def test_double_wheel4_matches_published(self):
-        assert b_sum(double_wheel(4), "min").value == 15
-        assert b_sum(double_wheel(4), "max").value == 21
+        assert b_sum(make("double_wheel", 4), "min").value == 15
+        assert b_sum(make("double_wheel", 4), "max").value == 21
 
     def test_witness_contract(self):
-        g = web(3)
+        g = make("web", 3)
         for direction in ("min", "max"):
             r = b_sum(g, direction)
             assert is_b_colouring(g, r.witness)
             assert coloring_sum(r.witness) == r.value
 
     def test_phi_parameter_shortcut(self):
-        assert b_sum(web(3), "min").value == 18
+        assert b_sum(make("web", 3), "min").value == 18
 
 
 class TestInvariants:
@@ -186,17 +185,17 @@ class TestDeterminism:
 class TestBudget:
     def test_node_budget(self):
         with pytest.raises(BudgetExhausted) as info:
-            chi_sum(helm(5), "min", budget=SearchBudget(max_nodes=5))
+            chi_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=5))
         assert info.value.nodes_explored >= 5
 
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):
-            b_sum(helm(7), "min", budget=SearchBudget(max_time=0.0))
+            b_sum(make("helm", 7), "min", budget=SearchBudget(max_time=0.0))
 
     def test_budget_covers_nested_phases(self):
         # chi is computed inside chi_sum and must burn the same budget
         with pytest.raises(BudgetExhausted):
-            chi_sum(double_wheel(5), "min", budget=SearchBudget(max_nodes=10))
+            chi_sum(make("double_wheel", 5), "min", budget=SearchBudget(max_nodes=10))
 
 
 class TestNodeCounts:
@@ -221,7 +220,7 @@ class TestNodeCounts:
 
 class TestSolveDispatcher:
     def test_matches_direct_calls(self):
-        g = sunlet(4)
+        g = make("sunlet", 4)
         assert solve(g, "chi").value == chromatic_number(g).value
         assert solve(g, "chi_sum_min").value == chi_sum(g, "min").value
         assert solve(g, "b_sum_max").value == b_sum(g, "max").value

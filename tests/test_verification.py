@@ -189,6 +189,17 @@ class TestCache:
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
 
+    def test_non_object_entry_is_a_miss_and_replaced(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"version": 1, "entries": {"sunlet:3:chi_sum_min": [1, 2]}}))
+        cache = ResultsCache(path)
+        rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
+        assert rows[0].computed == 10
+        cache.save()
+        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
+        assert entry["solver_version"] == SOLVER_VERSION
+        assert entry["result"]["value"] == 10
+
     def test_save_leaves_foreign_temp_file(self, tmp_path):
         # another run sharing the cache directory may be mid-save
         foreign = tmp_path / "results.tmp"
