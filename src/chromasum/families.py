@@ -5,8 +5,11 @@ ring is a cycle or a set of pendants; the hub joins some rings by spokes;
 a rung pair (a, b) joins vertex i of ring a to vertex i of ring b.  Vertex
 ids are deterministic -- hub 0 if present, then each ring's vertices in
 ring order, ring after ring -- so solver witnesses are reproducible and
-comparable between runs.  Each generated graph carries a family tag and
-per-vertex roles.
+comparable between runs.  Each generated graph carries a family tag,
+per-vertex roles and its dihedral group D_n: the rotations and reflections
+of the ring index, applied to every ring at once, with the hub fixed.
+They are automorphisms of every row, because spokes join whole rings and
+rungs pair equal ring indices.
 """
 
 from __future__ import annotations
@@ -70,7 +73,13 @@ def make(kind: str, n: int) -> Graph:
     edges += [(at(r, i), at(r, i + 1)) for r in cycles for i in range(n)]
     edges += [(at(a, i), at(b, i)) for a, b in rungs for i in range(n)]
     roles = [VertexRole(HUB, 0)] * hub + [VertexRole(role, i) for role in rings for i in range(1, n + 1)]
-    return Graph(hub + len(rings) * n, edges, family=(kind, n), roles=tuple(roles))
+    # i -> s + i (rotations) and i -> s - i (reflections), identity first
+    dihedral = tuple(
+        tuple(range(hub)) + tuple(at(r, s + sign * i) for r in range(len(rings)) for i in range(n))
+        for s in range(n)
+        for sign in (1, -1)
+    )
+    return Graph(hub + len(rings) * n, edges, family=(kind, n), roles=tuple(roles), automorphisms=dihedral)
 
 
 def build(family: Family) -> Graph:

@@ -33,9 +33,12 @@ class Graph:
     `adj[v]` is an int bitmask of the neighbours of v.  `family` optionally
     records (family kind, cycle parameter) for generated graphs, and
     `roles` optionally annotates every vertex with a VertexRole.
+    `automorphisms` is a group of vertex permutations, the identity
+    included, each mapping the edge set onto itself: p maps vertex v to
+    p[v].  It is empty when no symmetry is known.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "roles")
+    __slots__ = ("n", "edges", "adj", "family", "roles", "automorphisms")
 
     def __init__(
         self,
@@ -43,6 +46,7 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         family: tuple[str, int] | None = None,
         roles: tuple[VertexRole, ...] | None = None,
+        automorphisms: tuple[tuple[int, ...], ...] = (),
     ):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -67,6 +71,7 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "automorphisms", automorphisms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -78,10 +83,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
         if self.n == 0:

@@ -16,6 +16,15 @@ the class sizes instead of re-sorting them, and b-feasibility reads
 per-vertex counts `seen` of the opened classes each vertex sees through one
 per-node mask `good` (see `_partition`).
 
+A graph that carries a symmetry group (the families carry the dihedral
+group D_n of their rings) is searched once per orbit: a partition whose
+restricted-growth string is not lex-least among its images under the group
+is cut (lex-leader symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR
+1996).  Every image of a partition has the same class sizes and the same
+b-property, so the lexicographically first partition of least value, or
+the first found by a scan, is the lex-leader of its orbit and is never
+cut: values and witnesses are those of the search without the cut.
+
 chi(G) and phi(G) are scans over k that stop at the first partition found:
 chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  A
 sum search runs its scan first, then the same enumerator at the k found to
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "2"
+SOLVER_VERSION = "3"
 
 QUANTITIES = (
     "chi",
@@ -224,6 +233,13 @@ def _partition(
     unassigned vertices outside sees[c].  At a leaf nothing is unassigned,
     so the same test is the b-colouring check: w dominates c iff
     seen[w] == k-1.
+
+    Lex-leader cut: `_lex_leader_cut` finds the shortest prefix 0..d-1 that
+    every automorphism of g maps onto itself (for a family: the hub and
+    ring 0).  Once at depth d, for each automorphism p other than the
+    identity, the image prefix assign[p[j]], j < d, is renumbered by first
+    appearance; if it is lex-smaller than assign[:d], no completion of this
+    prefix is lex-least in its orbit, and the subtree is cut.
     """
     n, adj = g.n, g.adj
     masks = [0] * k
@@ -248,8 +264,28 @@ def _partition(
             else:
                 short[v].append((w, 1 << w, lack))
 
+    cut, images = _lex_leader_cut(g)
+
     best_value: int | None = None
     best_assign: list[int] | None = None
+
+    def lex_leader() -> bool:
+        """False if some automorphism maps assign[:cut] onto a lex-smaller
+        restricted-growth string: its classes renumbered by first appearance."""
+        for image in images:
+            relabel = [-1] * k
+            fresh = 0
+            for j, u in enumerate(image):
+                c = assign[u]
+                r = relabel[c]
+                if r < 0:
+                    r = relabel[c] = fresh
+                    fresh += 1
+                if r != assign[j]:
+                    if r < assign[j]:
+                        return False
+                    break
+        return True
 
     def b_feasible(v: int, used: int) -> bool:
         good = sure[v]
@@ -267,6 +303,8 @@ def _partition(
         min-labelled sum of the sizes so far."""
         nonlocal best_value, best_assign
         tracker.tick()
+        if v == cut and not lex_leader():
+            return False
         if v == n:
             if used != k or (require_b and not b_feasible(n, k)):
                 return False
@@ -320,3 +358,19 @@ def _partition(
     for v, c in enumerate(best_assign):
         classes[c].append(v)
     return classes
+
+
+def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Depth d of the lex-leader check and the distinct restrictions to
+    0..d-1 of g's automorphisms other than the identity: d is the shortest
+    prefix that every automorphism maps onto itself and some automorphism
+    moves.  (-1, []) when there is no such prefix, and no cut."""
+    top = -1
+    moved = False
+    for d, column in enumerate(zip(*g.automorphisms), start=1):
+        top = max(top, *column)
+        moved = moved or set(column) != {d - 1}
+        if moved and top == d - 1:
+            identity = tuple(range(d))
+            return d, sorted({p[:d] for p in g.automorphisms} - {identity})
+    return -1, []

@@ -72,9 +72,11 @@ class VerificationRow:
 class ResultsCache:
     """JSON store of solver results keyed by instance.
 
-    Entries recorded under a different solver version, or malformed ones,
-    are never served, and the next put for their key replaces them.  A
-    corrupt file is discarded with a warning and rebuilt."""
+    Entries recorded under a different solver version, malformed ones, and
+    ones that do not match their key -- a result for another quantity, or a
+    value its witness does not have (its sum for a sum row, its k for chi
+    and b_chromatic) -- are never served, and the next put for their key
+    replaces them.  A corrupt file is discarded with a warning and rebuilt."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -102,12 +104,16 @@ class ResultsCache:
 
     def get(self, family: str, n: int, quantity: str) -> SumResult | None:
         entry = self._entries.get(self._key(family, n, quantity))
-        if isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION:
-            try:
-                return SumResult.from_json(entry["result"])
-            except Exception:
-                return None  # malformed entry: treat as a miss and re-solve
-        return None
+        if not (isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION):
+            return None
+        try:
+            result = SumResult.from_json(entry["result"])
+        except Exception:
+            return None  # malformed entry: treat as a miss and re-solve
+        if result.quantity != quantity:
+            return None
+        claimed = coloring_sum(result.witness) if "_sum_" in quantity else result.witness.k
+        return result if result.value == claimed else None
 
     def put(self, family: str, n: int, quantity: str, result: SumResult):
         key = self._key(family, n, quantity)

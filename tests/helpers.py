@@ -22,6 +22,11 @@ def star(leaves):
     return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
+def degree(g, v):
+    """Degree of v; raises ValueError for a vertex outside g."""
+    return len(g.neighbors(v))
+
+
 def is_connected(g):
     """Connectivity by BFS from vertex 0; independent of the solvers."""
     seen = {0} if g.n else set()

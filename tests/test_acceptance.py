@@ -11,7 +11,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from helpers import exhaustive_labeling_extremum, is_connected
+from helpers import degree, exhaustive_labeling_extremum, is_connected
 
 from chromasum.cli import main
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper, optimal_labeling
@@ -179,7 +179,7 @@ def test_criterion_6_generator_counts():
                 want = Counter()
                 for deg, count in degree_counts:
                     want[deg] += count
-                assert Counter(g.degree(v) for v in range(g.n)) == want
+                assert Counter(degree(g, v) for v in range(g.n)) == want
                 assert is_connected(g)
 
 

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from helpers import bfs_two_colorable, is_connected
+from helpers import bfs_two_colorable, degree, is_connected
 
 from chromasum.families import FAMILY_KINDS, Family, build, make, parse_family
 from chromasum.graphs import HUB, INNER_CYCLE, OUTER_CYCLE, PENDANT, VertexRole
@@ -28,7 +28,7 @@ def test_counts_degrees_connectivity(kind, n):
     want = Counter()
     for deg, count in degrees:
         want[deg] += count
-    assert Counter(g.degree(v) for v in range(g.n)) == want
+    assert Counter(degree(g, v) for v in range(g.n)) == want
     assert is_connected(g)
     assert g.family == (kind, n)
 
@@ -47,11 +47,28 @@ def test_roles_round_trip(kind, n):
     for v in range(g.n):
         role = g.roles[v]
         if role.kind == PENDANT:
-            assert g.degree(v) == 1
+            assert degree(g, v) == 1
         if role.kind == HUB:
             assert role.index == 0
         else:
             assert 1 <= role.index <= n
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_group_is_automorphisms(kind, n):
+    # the solver's lex-leader cut is sound only if every element maps the
+    # graph onto itself
+    g = make(kind, n)
+    group = set(g.automorphisms)
+    assert len(group) == len(g.automorphisms) == 2 * n
+    assert tuple(range(g.n)) in group
+    edges = set(g.edges)
+    for p in g.automorphisms:
+        assert sorted(p) == list(range(g.n))
+        assert {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == edges
+        assert all(g.roles[p[v]].kind == g.roles[v].kind for v in range(g.n))
+        assert all(tuple(p[q[v]] for v in range(g.n)) in group for q in g.automorphisms)
 
 
 def test_role_counts():
@@ -69,14 +86,14 @@ def test_closed_helm_outer_ring_is_cycle():
     outer_set = set(outer)
     for v in outer:
         assert sum(1 for u in g.neighbors(v) if u in outer_set) == 2
-        assert g.degree(v) == 3
+        assert degree(g, v) == 3
 
 
 def test_spot_shapes():
     assert (make("double_wheel", 4).n, make("double_wheel", 4).m) == (9, 16)
-    assert make("double_wheel", 3).degree(0) == 6  # hub joins all six cycle vertices
+    assert degree(make("double_wheel", 3), 0) == 6  # hub joins all six cycle vertices
     assert (make("helm", 3).n, make("helm", 3).m) == (7, 9)
-    assert sum(1 for v in range(make("helm", 4).n) if make("helm", 4).degree(v) == 1) == 4
+    assert sum(1 for v in range(make("helm", 4).n) if degree(make("helm", 4), v) == 1) == 4
     assert (make("closed_helm", 3).n, make("closed_helm", 3).m) == (7, 12)
     assert make("closed_helm", 4).n == make("helm", 4).n
     assert (make("sunlet", 3).n, make("sunlet", 3).m) == (6, 6)
@@ -87,14 +104,14 @@ def test_spot_shapes():
 
 def test_closed_helm_degree_sequence():
     g = make("closed_helm", 5)
-    assert g.degree(0) == 5
-    assert sorted(g.degree(v) for v in range(1, 6)) == [4] * 5
-    assert sorted(g.degree(v) for v in range(6, 11)) == [3] * 5
+    assert degree(g, 0) == 5
+    assert sorted(degree(g, v) for v in range(1, 6)) == [4] * 5
+    assert sorted(degree(g, v) for v in range(6, 11)) == [3] * 5
 
 
 def test_wheel_3_is_complete():
     g = make("wheel", 3)
-    assert g.m == 6 and all(g.degree(v) == 3 for v in range(4))
+    assert g.m == 6 and all(degree(g, v) == 3 for v in range(4))
 
 
 def test_bipartite_even_families():

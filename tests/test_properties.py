@@ -1,7 +1,9 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
 against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, and the incremental partition enumerator
-against its loop version."""
+against its loop version; and on random ring graphs with their dihedral
+group, the enumerator's lex-leader cut against the loop version, which
+has no cut."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import (
     SearchBudget,
+    _lex_leader_cut,
     _partition,
     _Tracker,
     b_chromatic_number,
@@ -28,6 +31,39 @@ def graphs(draw, max_n: int = 10) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def ring_graphs(draw) -> Graph:
+    """A random column of 1-3 vertices repeated around a ring of n columns,
+    with an optional hub, laid out as the families are (hub 0, then the
+    vertices of column position a in ring order, position after position),
+    and carrying the dihedral group of the ring index with the hub fixed.
+    Edges inside a column, spokes from the hub, and edges between
+    neighbouring columns are drawn once for every column; an edge from
+    position a to position b of the next column comes with its mirror, b to
+    a, so the reflections are automorphisms too."""
+    t = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=3, max_value=12 // t))
+    hub = draw(st.integers(min_value=0, max_value=1))
+    positions = range(t)
+    pairs = [(a, b) for a in positions for b in positions if a < b]
+    inside = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    across = draw(st.sets(st.sampled_from([(a, b) for a in positions for b in positions if a <= b])))
+    spokes = draw(st.sets(st.sampled_from(positions))) if hub else set()
+
+    def at(a: int, i: int) -> int:
+        return hub + a * n + i % n
+
+    edges = [(at(a, i), at(b, i)) for a, b in inside for i in range(n)]
+    edges += [e for a, b in across for i in range(n) for e in ((at(a, i), at(b, i + 1)), (at(b, i), at(a, i + 1)))]
+    edges += [(0, at(a, i)) for a in spokes for i in range(n)]
+    group = tuple(
+        tuple(range(hub)) + tuple(at(a, s + sign * i) for a in positions for i in range(n))
+        for s in range(n)
+        for sign in (1, -1)
+    )
+    return Graph(hub + t * n, edges, automorphisms=group)
 
 
 def classes(result) -> set[frozenset[int]]:
@@ -81,4 +117,20 @@ def test_partition_matches_reference(g):
                 for enumerate_partitions in (_partition, reference_partition):
                     tracker = _Tracker(SearchBudget())
                     runs.append((enumerate_partitions(g, k, tracker, require_b, first), tracker.nodes))
+                assert runs[0] == runs[1], (k, require_b, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_graphs())
+def test_lex_leader_cut_keeps_partitions(g):
+    # the cut never removes the partition the search returns: the same
+    # classes as the loop version, which searches every image
+    assert _lex_leader_cut(g)[0] > 0
+    for k in range(1, g.n + 1):
+        for require_b in (False, True):
+            for first in (False, True):
+                runs = []
+                for enumerate_partitions in (_partition, reference_partition):
+                    tracker = _Tracker(SearchBudget())
+                    runs.append(enumerate_partitions(g, k, tracker, require_b, first))
                 assert runs[0] == runs[1], (k, require_b, first)

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from chromasum import verification
-from chromasum.families import make
+from chromasum import formulas, verification
+from chromasum.families import MIN_N, make
 from chromasum.solvers import SOLVER_VERSION, SearchBudget
 from chromasum.verification import (
+    DESK_CAPS,
     ResultsCache,
     VerificationRow,
     plan_tasks,
@@ -19,6 +21,11 @@ from chromasum.verification import (
 )
 
 ALL_QUANTITIES = ("chi", "chi_sum_min", "chi_sum_max", "b_chromatic", "b_sum_min", "b_sum_max")
+
+# sha256 of the desk campaign's witness files and its report.csv without
+# the nodes and millis columns, as computed by test_desk_witnesses_pinned
+# before the search was cut by the families' dihedral symmetry
+DESK_WITNESS_DIGEST = "7fb2ed2b98991a6e55d5f83987f475584f9f3dc34386b538f436c0062de045d0"
 
 
 class TestPlanTasks:
@@ -101,9 +108,10 @@ class TestRunCampaign:
         assert row.witness_path == ""
 
     def test_row_budget_covers_phi_scan(self):
-        # b_sum(sunlet(8), "min") aborts on this budget only because its phi
-        # scan counts against it; the campaign row must abort too
-        budget = SearchBudget(max_nodes=18517)
+        # b_sum(sunlet(8), "min") takes 3,638 nodes, 23 of them in its phi
+        # scan: its sum search alone fits this budget, so it aborts only
+        # because the scan counts against it; the campaign row must abort too
+        budget = SearchBudget(max_nodes=3_638 - 23 + 1)
         (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget)
         assert row.status == "aborted"
 
@@ -115,11 +123,11 @@ class TestRunCampaign:
         monkeypatch.setattr(
             verification, "b_sum", lambda g, direction, budget=None: calls.append(direction) or real(g, direction, budget)
         )
-        budget = SearchBudget(max_nodes=18517)
+        budget = SearchBudget(max_nodes=3_638 - 23 + 1)
         rows = run_campaign(["sunlet"], 8, 8, ["b_sum_min", "b_sum_max"], budget=budget)
         assert [(r.quantity, r.status, r.nodes_explored) for r in rows] == [
-            ("b_sum_min", "aborted", 18518),
-            ("b_sum_max", "aborted", 18518),
+            ("b_sum_min", "aborted", 3_617),
+            ("b_sum_max", "aborted", 3_617),
         ]
         assert calls == ["min"]
         assert rows[0].elapsed_ms == rows[1].elapsed_ms
@@ -188,6 +196,46 @@ class TestCache:
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
+
+    @staticmethod
+    def _write_entry(path, quantity, value, witness):
+        path.write_text(json.dumps({
+            "version": 1,
+            "entries": {"sunlet:3:chi_sum_min": {
+                "solver_version": SOLVER_VERSION,
+                "result": {"quantity": quantity, "value": value, "witness": witness,
+                           "nodes": 1, "millis": 1},
+            }},
+        }))
+
+    def test_entry_for_another_quantity_is_a_miss(self, tmp_path):
+        path = tmp_path / "results.json"
+        self._write_entry(path, "b_sum_min", 999, {"k": 1, "colors": [1] * 6})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 3, "chi_sum_min") is None
+        rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
+        assert (rows[0].computed, rows[0].status) == (10, "mismatch")
+        cache.save()
+        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
+        assert entry["result"]["quantity"] == "chi_sum_min"
+        assert entry["result"]["value"] == 10
+
+    def test_value_its_witness_lacks_is_a_miss(self, tmp_path):
+        path = tmp_path / "results.json"
+        # a sum row whose witness sums to 6, not 999
+        self._write_entry(path, "chi_sum_min", 999, {"k": 1, "colors": [1] * 6})
+        assert ResultsCache(path).get("sunlet", 3, "chi_sum_min") is None
+        # the same witness with its own sum is served as recorded
+        self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
+        assert ResultsCache(path).get("sunlet", 3, "chi_sum_min").value == 6
+
+    def test_number_row_value_must_be_its_witness_k(self, tmp_path):
+        cache = ResultsCache(tmp_path / "c.json")
+        result = solve(make("helm", 3), "chi")
+        cache.put("helm", 3, "chi", dataclasses.replace(result, value=result.value + 1))
+        assert cache.get("helm", 3, "chi") is None
+        cache.put("helm", 3, "chi", result)
+        assert cache.get("helm", 3, "chi") == result
 
     def test_non_object_entry_is_a_miss_and_replaced(self, tmp_path):
         path = tmp_path / "results.json"
@@ -271,3 +319,20 @@ class TestRendering:
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "report.md").exists()
+
+
+def test_desk_witnesses_pinned(tmp_path):
+    # a change to the search may change node counts and timings, never a
+    # value, a status or a witness of the desk campaign
+    rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES, out_dir=tmp_path)
+    write_reports(rows, tmp_path, ("csv",))
+    digest = hashlib.sha256()
+    witnesses = sorted((tmp_path / "witnesses").iterdir())
+    assert len(witnesses) == len(rows) == 99
+    for path in witnesses:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    for line in (tmp_path / "report.csv").read_text().splitlines():
+        cells = line.split(",")
+        assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
+        digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
+    assert digest.hexdigest() == DESK_WITNESS_DIGEST
