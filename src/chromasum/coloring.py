@@ -8,18 +8,21 @@ here would silently corrupt every solver result.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .graphs import Graph
 
 
+@dataclass(frozen=True, slots=True)
 class Coloring:
     """Total map vertex -> colour in 1..k with every colour used."""
 
-    __slots__ = ("k", "colors")
+    k: int
+    colors: tuple[int, ...]
 
-    def __init__(self, k: int, colors: Sequence[int]):
-        colors = tuple(colors)
+    def __post_init__(self):
+        k, colors = self.k, tuple(self.colors)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         used = set()
@@ -30,20 +33,7 @@ class Coloring:
         if len(used) != k:
             missing = sorted(set(range(1, k + 1)) - used)
             raise ValueError(f"colours {missing} are unused; empty classes are forbidden")
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "colors", colors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coloring is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Coloring) and (self.k, self.colors) == (other.k, other.colors)
-
-    def __hash__(self):
-        return hash((self.k, self.colors))
-
-    def __repr__(self):
-        return f"Coloring(k={self.k}, colors={list(self.colors)})"
 
     def classes(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]

@@ -35,7 +35,8 @@ class Graph:
     `roles` optionally annotates every vertex with a VertexRole.
     `automorphisms` is a group of vertex permutations, the identity
     included, each mapping the edge set onto itself: p maps vertex v to
-    p[v].  It is empty when no symmetry is known.
+    p[v].  It is empty when no symmetry is known.  Each element is checked
+    to be a permutation of 0..n-1 that preserves the edges.
     """
 
     __slots__ = ("n", "edges", "adj", "family", "roles", "automorphisms")
@@ -66,6 +67,12 @@ class Graph:
             adj[v] |= 1 << u
         if roles is not None and len(roles) != n:
             raise ValueError("roles must annotate every vertex")
+        identity = list(range(n))
+        for p in automorphisms:
+            if sorted(p) != identity:
+                raise ValueError(f"automorphism {p} is not a permutation of 0..{n - 1}")
+            if {(p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in seen} != seen:
+                raise ValueError(f"automorphism {p} does not map the edges onto themselves")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adj", tuple(adj))

@@ -67,9 +67,13 @@ class SearchBudget:
 
 
 class BudgetExhausted(Exception):
-    def __init__(self, message: str, nodes_explored: int = 0):
+    """A solve call ran out of budget after `nodes_explored` nodes and
+    `elapsed_ms` milliseconds."""
+
+    def __init__(self, message: str, nodes_explored: int = 0, elapsed_ms: int = 0):
         super().__init__(message)
         self.nodes_explored = nodes_explored
+        self.elapsed_ms = elapsed_ms
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,9 @@ class _Tracker:
     def tick(self):
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise BudgetExhausted("node budget exhausted", self.nodes)
+            raise BudgetExhausted("node budget exhausted", self.nodes, self.elapsed_ms())
         if not (self.nodes & 0x3FF) and time.monotonic() > self.deadline:
-            raise BudgetExhausted("time budget exhausted", self.nodes)
+            raise BudgetExhausted("time budget exhausted", self.nodes, self.elapsed_ms())
 
     def elapsed_ms(self) -> int:
         return int((time.monotonic() - self.t0) * 1000)

@@ -6,6 +6,9 @@ audit the published values, so disagreements surface as data.  Rows are
 produced in a fixed (family, n, quantity) order regardless of how worker
 jobs complete, and cached results carry their original node/time counts,
 so warm reruns are byte-identical to the run that populated the cache.
+Each row's outcome, a SumResult or the BudgetExhausted that aborted it,
+crosses the process pool as it is; an aborted row reports the nodes and
+millis its search's tracker counted.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import functools
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,31 +146,25 @@ def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumRes
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _solve_group(task) -> dict:
+def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
     """Solve every requested quantity for one (family, n), each row one solve
-    call on its own budget.  A *_sum_max is its *_sum_min search relabelled,
-    so when the group ran that search the max row reuses its outcome: the
-    max labelling of its partition, or the same abort."""
-    family, n, quantities, max_nodes, max_time = task
-    budget = SearchBudget(max_nodes=max_nodes, max_time=max_time)
+    call on its own budget, and map each quantity to its result or to the
+    BudgetExhausted that aborted it; both pickle, so they cross the process
+    pool as they are.  A *_sum_max is its *_sum_min search relabelled, so
+    when the group ran that search the max row reuses its outcome: the max
+    labelling of its partition, or the same abort."""
+    family, n, quantities, budget = task
     g = families.make(family, n)
-    solved: dict[str, SumResult] = {}
-    out: dict[str, dict] = {}
+    out: dict[str, SumResult | BudgetExhausted] = {}
     for quantity in quantities:
-        started = time.monotonic()
-        twin = quantity.removesuffix("_max") + "_min"
-        if quantity.endswith("_sum_max") and twin in out:
-            if twin in solved:
-                out[quantity] = {"status": "ok", "result": max_twin(solved[twin]).to_json()}
-            else:
-                out[quantity] = dict(out[twin])
+        twin = out.get(quantity.removesuffix("_max") + "_min")
+        if quantity.endswith("_sum_max") and twin is not None:
+            out[quantity] = max_twin(twin) if isinstance(twin, SumResult) else twin
             continue
         try:
-            solved[quantity] = solve(g, quantity, budget)
-            out[quantity] = {"status": "ok", "result": solved[quantity].to_json()}
+            out[quantity] = solve(g, quantity, budget)
         except BudgetExhausted as exc:
-            elapsed = int((time.monotonic() - started) * 1000)
-            out[quantity] = {"status": "aborted", "nodes": exc.nodes_explored, "millis": elapsed}
+            out[quantity] = exc
     return out
 
 
@@ -210,31 +206,26 @@ def run_campaign(
 ) -> list[VerificationRow]:
     budget = budget or SearchBudget()
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
-    outcomes: dict[tuple[str, int, str], dict] = {}
-
-    for family, n, quantity in tasks:
-        if cache is not None:
-            hit = cache.get(family, n, quantity)
-            if hit is not None:
-                outcomes[(family, n, quantity)] = {"status": "ok", "result": hit.to_json()}
-
+    outcomes: dict[tuple[str, int, str], SumResult | BudgetExhausted] = {}
     groups: dict[tuple[str, int], list[str]] = {}
     for family, n, quantity in tasks:
-        if (family, n, quantity) not in outcomes:
+        hit = cache.get(family, n, quantity) if cache is not None else None
+        if hit is not None:
+            outcomes[(family, n, quantity)] = hit
+        else:
             groups.setdefault((family, n), []).append(quantity)
-    group_tasks = [
-        (family, n, tuple(qs), budget.max_nodes, budget.max_time)
-        for (family, n), qs in sorted(groups.items())
-    ]
+    group_tasks = [(family, n, tuple(qs), budget) for (family, n), qs in sorted(groups.items())]
 
     if jobs > 1 and len(group_tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved = list(pool.map(_solve_group, group_tasks))
     else:
         solved = [_solve_group(t) for t in group_tasks]
-    for (family, n, _, _, _), result_map in zip(group_tasks, solved):
+    for (family, n, _, _), result_map in zip(group_tasks, solved):
         for quantity, outcome in result_map.items():
             outcomes[(family, n, quantity)] = outcome
+            if cache is not None and isinstance(outcome, SumResult):
+                cache.put(family, n, quantity, outcome)
 
     witness_dir = None
     if out_dir is not None:
@@ -245,27 +236,18 @@ def run_campaign(
     for family, n, quantity in tasks:
         predicted = formulas.predict(family, quantity, n)
         outcome = outcomes[(family, n, quantity)]
-        if outcome["status"] == "aborted":
-            rows.append(
-                VerificationRow(
-                    family, n, quantity, predicted, None, "aborted", "",
-                    outcome["nodes"], outcome["millis"],
-                )
-            )
-            continue
-        result = SumResult.from_json(outcome["result"])
-        if cache is not None:
-            cache.put(family, n, quantity, result)
-        witness_rel = ""
-        if witness_dir is not None:
-            witness_rel = f"witnesses/{family}-{n}-{quantity}.json"
-            path = witness_dir / f"{family}-{n}-{quantity}.json"
-            path.write_text(json.dumps(result.witness.to_json(), sort_keys=True) + "\n")
-        status = "match" if result.value == predicted else "mismatch"
+        computed, status, witness_rel = None, "aborted", ""
+        if isinstance(outcome, SumResult):
+            computed = outcome.value
+            status = "match" if computed == predicted else "mismatch"
+            if witness_dir is not None:
+                witness_rel = f"witnesses/{family}-{n}-{quantity}.json"
+                path = witness_dir / f"{family}-{n}-{quantity}.json"
+                path.write_text(json.dumps(outcome.witness.to_json(), sort_keys=True) + "\n")
         rows.append(
             VerificationRow(
-                family, n, quantity, predicted, result.value, status, witness_rel,
-                result.nodes_explored, result.elapsed_ms,
+                family, n, quantity, predicted, computed, status, witness_rel,
+                outcome.nodes_explored, outcome.elapsed_ms,
             )
         )
     if cache is not None:

@@ -3,6 +3,8 @@ from helpers import bfs_two_colorable, cycle, degree, empty_graph, is_connected
 
 from chromasum.families import make
 from chromasum.graphs import Graph, to_dot, to_edgelist
+from chromasum.oracle import brute_force_oracle
+from chromasum.solvers import chi_sum
 
 
 class TestConstruction:
@@ -23,6 +25,21 @@ class TestConstruction:
         g = cycle(3)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_rejects_non_automorphism(self):
+        # swapping 1 and 2 does not preserve these edges; the search cut with
+        # it found chi_sum min 13 where the oracle finds 12
+        edges = [(0, 1), (0, 3), (0, 7), (1, 5), (2, 6), (3, 4), (4, 6), (4, 7)]
+        swap = (0, 2, 1, 3, 4, 5, 6, 7)
+        with pytest.raises(ValueError, match="edges"):
+            Graph(8, edges, automorphisms=(tuple(range(8)), swap))
+        g = Graph(8, edges)
+        assert chi_sum(g, "min").value == brute_force_oracle(g, "chi_sum_min").value == 12
+
+    @pytest.mark.parametrize("p", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)])
+    def test_rejects_non_permutation(self, p):
+        with pytest.raises(ValueError, match="permutation"):
+            Graph(3, [(0, 1)], automorphisms=(tuple(range(3)), p))
 
     def test_adjacency_symmetry(self):
         g = make("helm", 5)

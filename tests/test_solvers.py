@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from helpers import complete_graph, cycle, empty_graph, star
 
+from chromasum import solvers
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import make
 from chromasum.solvers import (
@@ -196,6 +199,33 @@ class TestBudget:
         # chi is computed inside chi_sum and must burn the same budget
         with pytest.raises(BudgetExhausted):
             chi_sum(make("double_wheel", 5), "min", budget=SearchBudget(max_nodes=10))
+
+    def test_abort_carries_tracker_millis(self, monkeypatch):
+        # a clock one second on per reading: the tracker starts at 0, its
+        # first deadline check at node 1,024 reads 1, and the abort reads 2
+        clock = iter(range(100))
+        monkeypatch.setattr(solvers.time, "monotonic", lambda: next(clock))
+        with pytest.raises(BudgetExhausted) as info:
+            b_sum(make("helm", 7), "min", budget=SearchBudget(max_time=0.0))
+        assert (info.value.nodes_explored, info.value.elapsed_ms) == (1_024, 2_000)
+
+
+class TestPickle:
+    """Campaign rows cross the process pool as these objects."""
+
+    def test_sum_result(self):
+        result = dataclasses.replace(solve(make("helm", 4), "b_sum_min"), elapsed_ms=17)
+        assert pickle.loads(pickle.dumps(result)) == result  # value, witness, nodes, millis
+
+    def test_budget_exhausted(self):
+        with pytest.raises(BudgetExhausted) as info:
+            b_sum(make("sunlet", 8), "min", budget=SearchBudget(max_nodes=3_638 - 23 + 1))
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (str(back), back.nodes_explored, back.elapsed_ms) == (
+            "node budget exhausted", 3_617, info.value.elapsed_ms,
+        )
+        back = pickle.loads(pickle.dumps(BudgetExhausted("time budget exhausted", 5, 17)))
+        assert (back.nodes_explored, back.elapsed_ms) == (5, 17)
 
 
 class TestNodeCounts:

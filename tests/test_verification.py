@@ -139,10 +139,23 @@ class TestRunCampaign:
             assert row.nodes_explored == solve(make(row.family, row.n), row.quantity).nodes_explored
 
     def test_jobs_match_serial(self, tmp_path):
-        serial = run_campaign(["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"])
-        parallel = run_campaign(["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"], jobs=2)
-        strip = lambda rows: [(r.family, r.n, r.quantity, r.computed, r.status) for r in rows]
-        assert strip(serial) == strip(parallel)
+        strip = lambda rows: [(r.family, r.n, r.quantity, r.computed, r.status, r.nodes_explored) for r in rows]
+        witnesses = lambda d: {p.name: p.read_bytes() for p in (d / "witnesses").iterdir()}
+        # under the second budget sunlet:8's b_sum_min search aborts (see
+        # test_row_budget_covers_phi_scan), so an abort crosses the pool too
+        cases = [
+            ((["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"]), SearchBudget()),
+            ((["sunlet"], 7, 8, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=3_638 - 23 + 1)),
+        ]
+        for i, (args, budget) in enumerate(cases):
+            serial = run_campaign(*args, budget=budget, out_dir=tmp_path / f"serial{i}")
+            parallel = run_campaign(*args, budget=budget, out_dir=tmp_path / f"pool{i}", jobs=2)
+            assert strip(serial) == strip(parallel)
+            assert witnesses(tmp_path / f"serial{i}") == witnesses(tmp_path / f"pool{i}")
+        assert [(r.n, r.status, r.nodes_explored) for r in parallel if r.status == "aborted"] == [
+            (8, "aborted", 3_617),
+            (8, "aborted", 3_617),
+        ]
 
 
 class TestCache:
