@@ -10,9 +10,9 @@ from .coloring import (
     optimal_labeling,
     theta,
 )
-from .families import Family, build, make, parse_family
-from .formulas import coverage_table, predict
-from .graphs import Graph, VertexRole
+from .families import make, parse_family
+from .formulas import predict
+from .graphs import Graph
 from .oracle import brute_force_oracle
 from .solvers import (
     QUANTITIES,
@@ -35,14 +35,10 @@ __all__ = [
     "is_proper",
     "optimal_labeling",
     "theta",
-    "Family",
-    "build",
     "make",
     "parse_family",
-    "coverage_table",
     "predict",
     "Graph",
-    "VertexRole",
     "brute_force_oracle",
     "QUANTITIES",
     "BudgetExhausted",

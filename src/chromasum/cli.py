@@ -84,13 +84,13 @@ def _add_budget_args(p: argparse.ArgumentParser):
 
 
 def cmd_generate(args) -> int:
-    g = families.build(families.parse_family(args.spec))
+    g = families.make(*families.parse_family(args.spec))
     sys.stdout.write(to_dot(g) if args.dot else to_edgelist(g))
     return 0
 
 
 def cmd_solve(args) -> int:
-    g = families.build(families.parse_family(args.spec))
+    g = families.make(*families.parse_family(args.spec))
     budget = SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
     try:
         result = solve(g, args.quantity, budget)

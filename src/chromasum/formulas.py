@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .families import MIN_N
-from .solvers import QUANTITIES
 
 COVERED_FAMILIES = ("double_wheel", "helm", "closed_helm", "sunlet", "web")
 
@@ -126,6 +125,7 @@ def _web_b_max(n: int) -> int:
     return 13 * n - 21 if n % 2 == 0 else 13 * n - 18
 
 
+# In report order: family order of COVERED_FAMILIES, then QUANTITIES order.
 _ENTRIES = (
     FormulaEntry("double_wheel", "chi_sum_min", "Proposition 2.1", _dw_chi_min),
     FormulaEntry("double_wheel", "chi_sum_max", "Proposition 2.2", _dw_chi_max),
@@ -151,14 +151,6 @@ _ENTRIES = (
 )
 
 _BY_KEY = {(e.family, e.quantity): e for e in _ENTRIES}
-
-
-def coverage_table() -> list[FormulaEntry]:
-    """All published (family, quantity) formula entries, in report order:
-    family declaration order, then quantity order within a family."""
-    order = {q: i for i, q in enumerate(QUANTITIES)}
-    fam_order = {f: i for i, f in enumerate(COVERED_FAMILIES)}
-    return sorted(_ENTRIES, key=lambda e: (fam_order[e.family], order[e.quantity]))
 
 
 def is_covered(family: str, quantity: str) -> bool:

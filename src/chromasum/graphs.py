@@ -1,6 +1,5 @@
-"""Immutable simple undirected graphs with bitset adjacency, the vertex
-roles that generated family graphs carry, and the edge-list and DOT
-output formats.
+"""Immutable simple undirected graphs with bitset adjacency, and the
+edge-list and DOT output formats.
 
 Vertices are dense integers 0..n-1.  Nothing mutates after construction,
 so graphs can be shared freely between concurrent solver jobs.
@@ -8,45 +7,28 @@ so graphs can be shared freely between concurrent solver jobs.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
-HUB = "hub"
-INNER_CYCLE = "inner_cycle"
-OUTER_CYCLE = "outer_cycle"
-PENDANT = "pendant"
-
-
-class VertexRole(NamedTuple):
-    """Structural role of a vertex in a generated family.
-
-    `index` is the 1-based position on the vertex's own ring (0 for hubs),
-    so role annotations line up with the usual v_i / u_i / w_i naming.
-    """
-
-    kind: str
-    index: int
+from typing import Iterable
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     `adj[v]` is an int bitmask of the neighbours of v.  `family` optionally
-    records (family kind, cycle parameter) for generated graphs, and
-    `roles` optionally annotates every vertex with a VertexRole.
-    `automorphisms` is a group of vertex permutations, the identity
-    included, each mapping the edge set onto itself: p maps vertex v to
-    p[v].  It is empty when no symmetry is known.  Each element is checked
-    to be a permutation of 0..n-1 that preserves the edges.
+    records (family kind, cycle parameter) for generated graphs; `repr` and
+    the DOT graph name show it.  `automorphisms` is a group of vertex
+    permutations, the identity included, each mapping the edge set onto
+    itself: p maps vertex v to p[v].  It is empty when no symmetry is
+    known.  Each element is checked to be a permutation of 0..n-1 that
+    preserves the edges.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "roles", "automorphisms")
+    __slots__ = ("n", "edges", "adj", "family", "automorphisms")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
         family: tuple[str, int] | None = None,
-        roles: tuple[VertexRole, ...] | None = None,
         automorphisms: tuple[tuple[int, ...], ...] = (),
     ):
         if n < 0:
@@ -65,8 +47,6 @@ class Graph:
             seen.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if roles is not None and len(roles) != n:
-            raise ValueError("roles must annotate every vertex")
         identity = list(range(n))
         for p in automorphisms:
             if sorted(p) != identity:
@@ -77,7 +57,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "roles", roles)
         object.__setattr__(self, "automorphisms", automorphisms)
 
     def __setattr__(self, name, value):

@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,15 +73,18 @@ class VerificationRow:
 class ResultsCache:
     """JSON store of solver results keyed by instance.
 
-    Entries recorded under a different solver version, malformed ones, and
-    ones that do not match their key -- a result for another quantity, or a
-    value its witness does not have (its sum for a sum row, its k for chi
-    and b_chromatic) -- are never served, and the next put for their key
-    replaces them.  A corrupt file is discarded with a warning and rebuilt."""
+    Each entry is checked and decoded once, when the file is loaded.  One
+    recorded under a different solver version, a malformed one, or one that
+    does not match its key -- a result for another quantity, or a value its
+    witness does not have (its sum for a sum row, its k for chi and
+    b_chromatic) -- is dropped then, so it is neither served nor saved
+    again.  A put that does not match its key is dropped the same way,
+    with the entry it would have replaced.  A corrupt file is discarded
+    with a warning and rebuilt."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, SumResult] = {}
         self._load()
 
     def _load(self):
@@ -95,35 +97,44 @@ class ResultsCache:
             entries = data["entries"]
             if not isinstance(entries, dict):
                 raise ValueError("entries must be an object")
-            self._entries = entries
         except Exception as exc:  # corrupt cache is recoverable by resolving
             print(f"warning: discarding unreadable cache {self.path}: {exc}", file=sys.stderr)
-            self._entries = {}
+            return
+        for key, entry in entries.items():
+            if not (isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION):
+                continue
+            try:
+                result = SumResult.from_json(entry["result"])
+            except (KeyError, TypeError, ValueError):
+                continue  # malformed entry: a miss, re-solved on demand
+            self._keep(key, result)
+
+    def _keep(self, key: str, result: SumResult):
+        """Store result under key if it matches the key, else drop the key."""
+        quantity = key.rpartition(":")[2]
+        claimed = coloring_sum(result.witness) if "_sum_" in quantity else result.witness.k
+        if result.quantity == quantity and result.value == claimed:
+            self._entries[key] = result
+        else:
+            self._entries.pop(key, None)
 
     @staticmethod
     def _key(family: str, n: int, quantity: str) -> str:
         return f"{family}:{n}:{quantity}"
 
     def get(self, family: str, n: int, quantity: str) -> SumResult | None:
-        entry = self._entries.get(self._key(family, n, quantity))
-        if not (isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION):
-            return None
-        try:
-            result = SumResult.from_json(entry["result"])
-        except Exception:
-            return None  # malformed entry: treat as a miss and re-solve
-        if result.quantity != quantity:
-            return None
-        claimed = coloring_sum(result.witness) if "_sum_" in quantity else result.witness.k
-        return result if result.value == claimed else None
+        return self._entries.get(self._key(family, n, quantity))
 
     def put(self, family: str, n: int, quantity: str, result: SumResult):
-        key = self._key(family, n, quantity)
-        self._entries[key] = {"solver_version": SOLVER_VERSION, "result": result.to_json()}
+        self._keep(self._key(family, n, quantity), result)
 
     def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": CACHE_VERSION, "entries": self._entries}
+        entries = {
+            key: {"solver_version": SOLVER_VERSION, "result": result.to_json()}
+            for key, result in self._entries.items()
+        }
+        payload = {"version": CACHE_VERSION, "entries": entries}
         # A per-process name, so runs that share the cache never write the
         # same temporary file.
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
@@ -217,6 +228,8 @@ def run_campaign(
     group_tasks = [(family, n, tuple(qs), budget) for (family, n), qs in sorted(groups.items())]
 
     if jobs > 1 and len(group_tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved = list(pool.map(_solve_group, group_tasks))
     else:
@@ -337,13 +350,16 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "mar
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
     """Re-validate a report row's witness file from scratch: propriety, the
     b-property for b quantities, value agreement, and for sum rows that the
-    witness has chi(G) colours (chi sums) or phi(G) colours (b sums)."""
+    witness has chi(G) colours (chi sums) or phi(G) colours (b sums).  A
+    file that is not a colouring of the row's graph fails the check."""
     if not row.witness_path:
         return False
-    data = json.loads((Path(base_dir) / row.witness_path).read_text())
-    witness = Coloring.from_json(data)
+    try:
+        witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
+    except (KeyError, TypeError, ValueError):
+        return False
     g = families.make(row.family, row.n)
-    if not is_proper(g, witness):
+    if len(witness.colors) != g.n or not is_proper(g, witness):
         return False
     if row.quantity.startswith("b_") and not is_b_colouring(g, witness):
         return False

@@ -2,15 +2,15 @@ import pytest
 
 from chromasum.families import MIN_N, make
 from chromasum.formulas import (
+    _ENTRIES,
     COVERED_FAMILIES,
     FormulaEntry,
     NoPublishedFormula,
-    coverage_table,
     entry_for,
     is_covered,
     predict,
 )
-from chromasum.solvers import b_chromatic_number, chromatic_number
+from chromasum.solvers import QUANTITIES, b_chromatic_number, chromatic_number
 from chromasum.verification import DESK_CAPS
 
 VERTICES = {
@@ -129,7 +129,7 @@ class TestStructure:
     def test_parity_branches_are_affine(self):
         # past the small-n specials, predict(n) and predict(n+2) determine
         # predict(n+4) linearly within each parity class
-        for entry in coverage_table():
+        for entry in _ENTRIES:
             for start in (10, 11):
                 a = entry.predict(start)
                 b = entry.predict(start + 2)
@@ -145,7 +145,7 @@ class TestStructure:
     def test_predictions_cover_vertex_count(self):
         # a sum assigns every vertex a weight >= 1; colour counts (the one
         # b_chromatic entry) are merely positive
-        for entry in coverage_table():
+        for entry in _ENTRIES:
             vertices = VERTICES[entry.family]
             for n in range(3, 31):
                 value = entry.predict(n)
@@ -163,10 +163,10 @@ class TestStructure:
 
 class TestCoverage:
     def test_entry_count(self):
-        assert len(coverage_table()) == 21
+        assert len(_ENTRIES) == 21
 
     def test_every_entry_well_formed(self):
-        for entry in coverage_table():
+        for entry in _ENTRIES:
             assert isinstance(entry, FormulaEntry)
             assert entry.family in COVERED_FAMILIES
             assert entry.source
@@ -184,11 +184,10 @@ class TestCoverage:
             predict("sunlet", "b_chromatic", 5)
 
     def test_table_order_stable(self):
-        table = coverage_table()
-        assert [(e.family, e.quantity) for e in table] == [
-            (e.family, e.quantity) for e in coverage_table()
-        ]
-        assert table[0].family == "double_wheel"
+        # report order: family order, then quantity order within a family
+        order = [(COVERED_FAMILIES.index(e.family), QUANTITIES.index(e.quantity)) for e in _ENTRIES]
+        assert order == sorted(order)
+        assert _ENTRIES[0].family == "double_wheel"
 
     def test_below_family_minimum(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chromasum
 from chromasum import formulas, verification
 from chromasum.families import MIN_N, make
 from chromasum.solvers import SOLVER_VERSION, SearchBudget
@@ -89,6 +94,20 @@ class TestRunCampaign:
         row = VerificationRow("sunlet", 4, "chi_sum_min", 12, 14, "mismatch",
                               "witnesses/sunlet-4-chi_sum_min.json", 0, 0)
         assert not validate_witness(row, tmp_path)
+
+    @pytest.mark.parametrize("data", [
+        {"k": 3, "colors": [1, 2, 3, 1, 2, 3]},  # 6 colours for helm:3's 7 vertices
+        {"k": 4, "colors": [1, 2, 3, 4, 5, 1, 2]},  # colour 5 with k=4
+        {"k": 4},  # no colours
+        [1, 2, 3, 4, 1, 2, 3],  # not an object
+    ], ids=["short", "colour-out-of-range", "no-colours", "not-an-object"])
+    def test_malformed_witness_fails(self, tmp_path, data):
+        witness = tmp_path / "witnesses" / "helm-3-b_sum_min.json"
+        witness.parent.mkdir()
+        witness.write_text(json.dumps(data))
+        row = VerificationRow("helm", 3, "b_sum_min", 14, 13, "mismatch",
+                              "witnesses/helm-3-b_sum_min.json", 0, 0)
+        assert validate_witness(row, tmp_path) is False
 
     def test_witness_check_solves_phi_once_per_graph(self, tmp_path, monkeypatch):
         rows = run_campaign(["web"], 3, 3, ["b_sum_min", "b_sum_max"], out_dir=tmp_path)
@@ -261,6 +280,33 @@ class TestCache:
         assert entry["solver_version"] == SOLVER_VERSION
         assert entry["result"]["value"] == 10
 
+    def test_save_drops_entries_it_would_not_serve(self, tmp_path):
+        # entries outside the run's grid, or for a row that aborted, are
+        # never replaced by a put, so a stale one must not be saved again
+        def result(quantity, value, colors):
+            return {"quantity": quantity, "value": value, "witness": {"k": 1, "colors": colors},
+                    "nodes": 1, "millis": 1}
+
+        kept = solve(make("helm", 3), "chi").to_json()
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "sunlet:9:chi_sum_min": {"solver_version": "1",
+                                     "result": result("chi_sum_min", 18, [1] * 18)},
+            "sunlet:9:chi_sum_max": {"solver_version": SOLVER_VERSION,
+                                     "result": result("chi_sum_min", 18, [1] * 18)},
+            "sunlet:9:b_sum_min": {"solver_version": SOLVER_VERSION,
+                                   "result": result("b_sum_min", 999, [1] * 18)},
+            "sunlet:8:b_sum_min": "garbage",
+            "helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept},
+        }}))
+        cache = ResultsCache(path)
+        budget = SearchBudget(max_nodes=3_638 - 23 + 1)  # sunlet:8 b_sum_min aborts
+        (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget, cache=cache)
+        assert row.status == "aborted"
+        cache.save()
+        entries = json.loads(path.read_text())["entries"]
+        assert entries == {"helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept}}
+
     def test_save_leaves_foreign_temp_file(self, tmp_path):
         # another run sharing the cache directory may be mid-save
         foreign = tmp_path / "results.tmp"
@@ -349,3 +395,13 @@ def test_desk_witnesses_pinned(tmp_path):
         assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
         digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
     assert digest.hexdigest() == DESK_WITNESS_DIGEST
+
+
+def test_import_leaves_process_pool_unloaded():
+    # only a pooled campaign needs concurrent.futures.process; importing it
+    # costs every serial start
+    src = str(Path(chromasum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, chromasum; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
