@@ -50,9 +50,17 @@ def parse_family(spec: str) -> tuple[str, int]:
     return kind, n
 
 
+def order(kind: str, n: int) -> int:
+    """The vertex count of family `kind` with rings of n vertices, read off
+    its row without building the graph: the hub, if any, and the rings."""
+    _check(kind, n)
+    rings, _, spokes, _ = RINGS[kind]
+    return (1 if spokes else 0) + rings * n
+
+
 def make(kind: str, n: int) -> Graph:
     """The graph of family `kind` with rings of n vertices."""
-    _check(kind, n)
+    size = order(kind, n)
     rings, pendants, spokes, rungs = RINGS[kind]
     hub = 1 if spokes else 0
 
@@ -69,4 +77,4 @@ def make(kind: str, n: int) -> Graph:
         for s in range(n)
         for sign in (1, -1)
     )
-    return Graph(hub + rings * n, edges, family=(kind, n), automorphisms=dihedral)
+    return Graph(size, edges, family=(kind, n), automorphisms=dihedral)

@@ -76,7 +76,8 @@ class Graph:
         return max(a.bit_count() for a in self.adj)
 
     def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         mask = self.adj[v]
         out = []
         while mask:
@@ -84,10 +85,6 @@ class Graph:
             out.append(low.bit_length() - 1)
             mask ^= low
         return out
-
-    def _check_vertex(self, v: int):
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
 def to_edgelist(g: Graph) -> str:

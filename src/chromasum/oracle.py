@@ -32,38 +32,28 @@ def brute_force_oracle(
         raise ValueError(f"unknown quantity {quantity!r}")
     tracker = _Tracker(budget or SearchBudget())
 
-    if quantity == "chi":
-        value, classes = _scan_chi(g, tracker)
+    if quantity in ("chi", "b_chromatic"):
+        value, classes = _scan(g, tracker, quantity == "b_chromatic")
         witness = optimal_labeling(classes, "min", n=g.n)
-        return SumResult("chi", value, witness, tracker.nodes, tracker.elapsed_ms())
-
-    if quantity == "b_chromatic":
-        value, classes = _scan_phi(g, tracker)
-        witness = optimal_labeling(classes, "min", n=g.n)
-        return SumResult("b_chromatic", value, witness, tracker.nodes, tracker.elapsed_ms())
+        return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
     need_b = quantity.startswith("b_sum")
     direction = quantity.rsplit("_", 1)[1]
     if k is None:
-        k = _scan_phi(g, tracker)[0] if need_b else _scan_chi(g, tracker)[0]
+        k = _scan(g, tracker, need_b)[0]
     value, classes = _extremal(g, k, direction, need_b, tracker)
     witness = optimal_labeling(classes, direction, n=g.n)
     return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
 
-def _scan_chi(g: Graph, tracker: _Tracker) -> tuple[int, list[list[int]]]:
-    for j in range(1, g.n + 1):
-        found = _first_partition(g, j, False, tracker)
-        if found is not None:
-            return j, found
-    raise RuntimeError("unreachable")
-
-
-def _scan_phi(g: Graph, tracker: _Tracker) -> tuple[int, list[list[int]]]:
-    # phi(G) <= max degree + 1, and a b-colouring with chi(G) colours always
-    # exists, so the downward scan terminates with the exact maximum.
-    for j in range(g.max_degree() + 1, 0, -1):
-        found = _first_partition(g, j, True, tracker)
+def _scan(g: Graph, tracker: _Tracker, need_b: bool) -> tuple[int, list[list[int]]]:
+    """chi(G) from 1 up, or phi(G) from max degree + 1 down, with the first
+    partition found there.  phi(G) <= max degree + 1, and a b-colouring with
+    chi(G) colours always exists, so the downward scan ends at the exact
+    maximum."""
+    ks = range(g.max_degree() + 1, 0, -1) if need_b else range(1, g.n + 1)
+    for j in ks:
+        found = _first_partition(g, j, need_b, tracker)
         if found is not None:
             return j, found
     raise RuntimeError("unreachable")

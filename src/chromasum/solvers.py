@@ -25,16 +25,16 @@ b-property, so the lexicographically first partition of least value, or
 the first found by a scan, is the lex-leader of its orbit and is never
 cut: values and witnesses are those of the search without the cut.
 
-chi(G) and phi(G) are scans over k that stop at the first partition found:
-chi(G) is the least k from 1 up, phi(G) the largest k from m(G) down.  A
-sum search runs its scan first, then the same enumerator at the k found to
-the least min sum.
-
-Only the min is searched.  Relabelling a partition into k classes in
-reverse colour order maps its min labelling onto its max labelling, so the
-two sums add up to (k+1)*|V|: the partition with the least min sum has the
-greatest max sum, and each *_sum_max is the max labelling of the partition
-its *_sum_min search finds.
+Every quantity is one scan over k that stops at the first k with a
+partition: chi(G) is the least k from 1 up, phi(G) the largest k from m(G)
+down.  chi and b_chromatic search each k for the first partition, a sum
+for the least min sum.  No partition exists at the k the scan passes, so
+there the two searches walk the same tree; a sum is its scan's last
+search.  Only the min is searched: relabelling a partition in reverse
+colour order maps its min labelling onto its max labelling, so the two sums
+add up to (k+1)*|V|, and each *_sum_max is the max labelling of the
+partition its *_sum_min finds.  A witness shows its colouring sum for a sum
+quantity and its k for chi and b_chromatic (`witness_value`).
 
 A budget bounds the nodes and wall time of one call, its scan included;
 exhausting either raises, it never degrades to a wrong answer.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "3"
+SOLVER_VERSION = "4"
 
 QUANTITIES = (
     "chi",
@@ -130,35 +130,36 @@ def m_bound(g: Graph) -> int:
     """m(G): largest i such that G has >= i vertices of degree >= i-1.
     Upper-bounds the b-chromatic number."""
     degs = sorted((a.bit_count() for a in g.adj), reverse=True)
-    m = 0
-    for i, d in enumerate(degs, start=1):
-        if d >= i - 1:
-            m = i
-        else:
-            break
-    return m
+    # the i-th largest degree falls as i grows, so once d >= i-1 fails it stays failed
+    return sum(1 for i, d in enumerate(degs, start=1) if d >= i - 1)
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     """Exact chi(G): the least k with a partition into k independent classes."""
-    return _number("chi", g, budget, require_b=False)
+    return _solve(g, "chi", budget)
 
 
 def chi_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over proper colourings with
     exactly chi(G) colours."""
-    return _sum("chi_sum", g, direction, budget, require_b=False)
+    return _solve(g, f"chi_sum_{direction}", budget)
 
 
 def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     """Exact phi(G): largest k <= m(G) admitting a b-colouring with k colours."""
-    return _number("b_chromatic", g, budget, require_b=True)
+    return _solve(g, "b_chromatic", budget)
 
 
 def b_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over b-colourings with exactly
     phi(G) colours."""
-    return _sum("b_sum", g, direction, budget, require_b=True)
+    return _solve(g, f"b_sum_{direction}", budget)
+
+
+def witness_value(quantity: str, witness: Coloring) -> int:
+    """The value `witness` shows for `quantity`: its colouring sum for a sum
+    quantity, its number of colours k for chi and b_chromatic."""
+    return coloring_sum(witness) if "_sum_" in quantity else witness.k
 
 
 def max_twin(result: SumResult) -> SumResult:
@@ -166,38 +167,35 @@ def max_twin(result: SumResult) -> SumResult:
     the max labelling, and the same nodes and millis."""
     witness = optimal_labeling(result.witness.classes(), "max", n=len(result.witness.colors))
     quantity = result.quantity.removesuffix("_min") + "_max"
-    return SumResult(quantity, coloring_sum(witness), witness, result.nodes_explored, result.elapsed_ms)
+    return SumResult(quantity, witness_value(quantity, witness), witness, result.nodes_explored, result.elapsed_ms)
 
 
-def _number(quantity: str, g: Graph, budget: SearchBudget | None, require_b: bool) -> SumResult:
+def _solve(g: Graph, quantity: str, budget: SearchBudget | None) -> SumResult:
+    """One quantity of g under one budget: the scan's last search, labelled
+    for the min, or for a *_sum_max the max twin of its *_sum_min."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity.endswith("_max"):
+        return max_twin(_solve(g, quantity.removesuffix("_max") + "_min", budget))
     tracker = _Tracker(budget or SearchBudget())
-    k, classes = _scan(g, tracker, require_b)
+    first = quantity in ("chi", "b_chromatic")
+    classes = _scan(g, tracker, require_b=quantity.startswith("b_"), first=first)
     witness = optimal_labeling(classes, "min", n=g.n)
-    return SumResult(quantity, k, witness, tracker.nodes, tracker.elapsed_ms())
+    return SumResult(quantity, witness_value(quantity, witness), witness, tracker.nodes, tracker.elapsed_ms())
 
 
-def _sum(base: str, g: Graph, direction: str, budget: SearchBudget | None, require_b: bool) -> SumResult:
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    tracker = _Tracker(budget or SearchBudget())
-    k, _ = _scan(g, tracker, require_b)
-    classes = _partition(g, k, tracker, require_b)
-    if classes is None:
-        raise RuntimeError(f"{base}: no partition into {k} classes; this is a solver bug")
-    witness = optimal_labeling(classes, direction, n=g.n)
-    return SumResult(f"{base}_{direction}", coloring_sum(witness), witness, tracker.nodes, tracker.elapsed_ms())
-
-
-def _scan(g: Graph, tracker: _Tracker, require_b: bool) -> tuple[int, list[list[int]]]:
-    """chi(G) scanning k up from 1, or phi(G) scanning k down from m(G), with
-    the first partition found at that k."""
+def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[list[int]]:
+    """The partition into chi(G) classes, scanning k up from 1, or into
+    phi(G) classes, scanning k down from m(G), that `_partition` returns at
+    that k: with `first` the first one found, else one of least min sum.
+    A k it passes has no partition, so both searches walk the same tree."""
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
     ks = range(m_bound(g), 0, -1) if require_b else range(1, g.n + 1)
     for k in ks:
-        classes = _partition(g, k, tracker, require_b, first=True)
+        classes = _partition(g, k, tracker, require_b, first)
         if classes is not None:
-            return k, classes
+            return classes
     raise RuntimeError("unreachable: chi(G) <= n, and a b-colouring with chi(G) colours exists")
 
 
@@ -206,11 +204,11 @@ def _partition(
     k: int,
     tracker: _Tracker,
     require_b: bool,
-    first: bool = False,
+    first: bool,
 ) -> list[list[int]] | None:
-    """Partition of V into exactly k independent classes (b-feasible classes
-    when require_b) with the least min-labelled sum, or with `first` the
-    lexicographically first such partition; None if there is none.
+    """One step of `_scan`: a partition of V into exactly k independent
+    classes (b-feasible when require_b) with the least min-labelled sum, or
+    with `first` the lexicographically first one; None if there is none.
 
     Vertices are assigned in index order, so at vertex v the unassigned
     vertices are v..n-1, and each node costs O(k + eligible + deg(v)) work.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import families, formulas
-from .coloring import Coloring, coloring_sum, is_b_colouring, is_proper
+from .coloring import Coloring, is_b_colouring, is_proper
 from .graphs import Graph
 from .solvers import (
     QUANTITIES,
@@ -34,6 +34,7 @@ from .solvers import (
     chi_sum,
     chromatic_number,
     max_twin,
+    witness_value,
 )
 
 CACHE_VERSION = 1
@@ -75,12 +76,10 @@ class ResultsCache:
 
     Each entry is checked and decoded once, when the file is loaded.  One
     recorded under a different solver version, a malformed one, or one that
-    does not match its key -- a result for another quantity, or a value its
-    witness does not have (its sum for a sum row, its k for chi and
-    b_chromatic) -- is dropped then, so it is neither served nor saved
-    again.  A put that does not match its key is dropped the same way,
-    with the entry it would have replaced.  A corrupt file is discarded
-    with a warning and rebuilt."""
+    does not match its key (see `_keep`) is dropped then, so it is neither
+    served nor saved again.  A put that does not match its key is dropped
+    the same way, with the entry it would have replaced.  A corrupt file is
+    discarded with a warning and rebuilt."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -110,13 +109,21 @@ class ResultsCache:
             self._keep(key, result)
 
     def _keep(self, key: str, result: SumResult):
-        """Store result under key if it matches the key, else drop the key."""
-        quantity = key.rpartition(":")[2]
-        claimed = coloring_sum(result.witness) if "_sum_" in quantity else result.witness.k
-        if result.quantity == quantity and result.value == claimed:
+        """Store result under key if a run can ask for the key and result is
+        for its quantity, colours each vertex of its graph (counted from the
+        ring table; no graph is built) and shows its value; else drop it."""
+        self._entries.pop(key, None)
+        try:
+            kind, n = families.parse_family(key.rpartition(":")[0])
+        except ValueError:
+            return
+        if (
+            key == self._key(kind, n, result.quantity)
+            and result.quantity in QUANTITIES
+            and len(result.witness.colors) == families.order(kind, n)
+            and result.value == witness_value(result.quantity, result.witness)
+        ):
             self._entries[key] = result
-        else:
-            self._entries.pop(key, None)
 
     @staticmethod
     def _key(family: str, n: int, quantity: str) -> str:
@@ -349,24 +356,24 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "mar
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
     """Re-validate a report row's witness file from scratch: propriety, the
-    b-property for b quantities, value agreement, and for sum rows that the
-    witness has chi(G) colours (chi sums) or phi(G) colours (b sums).  A
-    file that is not a colouring of the row's graph fails the check."""
+    b-property for b quantities, value agreement, and that the witness has
+    chi(G) colours (chi quantities) or phi(G) colours (b quantities).  A
+    file that is missing, unreadable, or not a colouring of the row's graph
+    fails the check."""
     if not row.witness_path:
         return False
     try:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
-    except (KeyError, TypeError, ValueError):
+    except (OSError, KeyError, TypeError, ValueError):
         return False
     g = families.make(row.family, row.n)
     if len(witness.colors) != g.n or not is_proper(g, witness):
         return False
     if row.quantity.startswith("b_") and not is_b_colouring(g, witness):
         return False
-    if row.quantity in ("chi", "b_chromatic"):
-        return witness.k == row.computed
-    k = _colour_count(row.family, row.n, row.quantity.startswith("b_"))
-    return witness.k == k and coloring_sum(witness) == row.computed
+    if witness_value(row.quantity, witness) != row.computed:
+        return False
+    return witness.k == _colour_count(row.family, row.n, row.quantity.startswith("b_"))
 
 
 @functools.lru_cache(maxsize=None)

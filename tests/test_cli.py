@@ -1,8 +1,38 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 from chromasum.cli import main
 from chromasum.families import make
 from chromasum.verification import solve
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, output lines shown) of each command in the README's CLI block
+    that is followed by its output, one `# ` line per stdout line."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    examples: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("chromasum "):
+            examples.append((shlex.split(line, comments=True)[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # the README shows what these commands print, millis aside
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CHROMASUM_CACHE", raising=False)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["solve", "table", "verify"]
+    no_millis = lambda text: re.sub(r'"millis": \d+', '"millis": 0', text)
+    for argv, shown in examples:
+        assert main(argv) == 0
+        assert no_millis(capsys.readouterr().out).splitlines() == shown, argv
 
 
 class TestGenerate:

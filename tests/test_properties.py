@@ -1,9 +1,9 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
 against the brute-force oracle, determinism of the chi witness, the
-min/max duality of the sums, and the incremental partition enumerator
-against its loop version; and on random ring graphs with their dihedral
-group, the enumerator's lex-leader cut against the loop version, which
-has no cut."""
+min/max duality of the sums, the incremental partition enumerator
+against its loop version, and the min scan against the first-partition
+scan; and on random ring graphs with their dihedral group, the
+enumerator's lex-leader cut against the loop version, which has no cut."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +15,7 @@ from chromasum.solvers import (
     SearchBudget,
     _lex_leader_cut,
     _partition,
+    _scan,
     _Tracker,
     b_chromatic_number,
     b_sum,
@@ -118,6 +119,28 @@ def test_partition_matches_reference(g):
                     tracker = _Tracker(SearchBudget())
                     runs.append((enumerate_partitions(g, k, tracker, require_b, first), tracker.nodes))
                 assert runs[0] == runs[1], (k, require_b, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_min_scan_is_first_scan_ending_in_min_search(g):
+    # no partition exists at the k a scan passes, so there the min search
+    # walks the first-partition search's tree: both scans stop at the same
+    # k, and the min scan costs the first scan's nodes with its last search
+    # swapped for the min search at that k, whose classes it returns
+    def nodes_and(run):
+        tracker = _Tracker(SearchBudget())
+        return run(tracker), tracker.nodes
+
+    for require_b in (False, True):
+        first, first_nodes = nodes_and(lambda t: _scan(g, t, require_b, True))
+        least, least_nodes = nodes_and(lambda t: _scan(g, t, require_b, False))
+        k = len(first)
+        assert len(least) == k
+        fresh, fresh_nodes = nodes_and(lambda t: _partition(g, k, t, require_b, False))
+        assert least == fresh
+        last_first_nodes = nodes_and(lambda t: _partition(g, k, t, require_b, True))[1]
+        assert least_nodes == first_nodes - last_first_nodes + fresh_nodes
 
 
 @settings(max_examples=100, deadline=None)

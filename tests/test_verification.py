@@ -95,6 +95,14 @@ class TestRunCampaign:
                               "witnesses/sunlet-4-chi_sum_min.json", 0, 0)
         assert not validate_witness(row, tmp_path)
 
+    def test_number_witness_needs_chi_colours(self, tmp_path):
+        # a proper 5-colouring of helm:3, whose chi is 4, claiming chi = 5
+        witness = tmp_path / "witnesses" / "helm-3-chi.json"
+        witness.parent.mkdir()
+        witness.write_text(json.dumps({"k": 5, "colors": [1, 2, 3, 4, 5, 5, 5]}))
+        row = VerificationRow("helm", 3, "chi", 4, 5, "mismatch", "witnesses/helm-3-chi.json", 0, 0)
+        assert not validate_witness(row, tmp_path)
+
     @pytest.mark.parametrize("data", [
         {"k": 3, "colors": [1, 2, 3, 1, 2, 3]},  # 6 colours for helm:3's 7 vertices
         {"k": 4, "colors": [1, 2, 3, 4, 5, 1, 2]},  # colour 5 with k=4
@@ -105,6 +113,16 @@ class TestRunCampaign:
         witness = tmp_path / "witnesses" / "helm-3-b_sum_min.json"
         witness.parent.mkdir()
         witness.write_text(json.dumps(data))
+        row = VerificationRow("helm", 3, "b_sum_min", 14, 13, "mismatch",
+                              "witnesses/helm-3-b_sum_min.json", 0, 0)
+        assert validate_witness(row, tmp_path) is False
+
+    @pytest.mark.parametrize("shape", ["missing", "directory"])
+    def test_unreadable_witness_fails(self, tmp_path, shape):
+        witness = tmp_path / "witnesses" / "helm-3-b_sum_min.json"
+        witness.parent.mkdir()
+        if shape == "directory":
+            witness.mkdir()
         row = VerificationRow("helm", 3, "b_sum_min", 14, 13, "mismatch",
                               "witnesses/helm-3-b_sum_min.json", 0, 0)
         assert validate_witness(row, tmp_path) is False
@@ -127,11 +145,13 @@ class TestRunCampaign:
         assert row.witness_path == ""
 
     def test_row_budget_covers_phi_scan(self):
-        # b_sum(sunlet(8), "min") takes 3,638 nodes, 23 of them in its phi
-        # scan: its sum search alone fits this budget, so it aborts only
-        # because the scan counts against it; the campaign row must abort too
-        budget = SearchBudget(max_nodes=3_638 - 23 + 1)
-        (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget)
+        # b_sum(helm(5), "min") takes 59 nodes: 20 at k = m(G) = 5, where its
+        # phi scan finds no b-colouring, and 39 at phi = 4.  Its search at
+        # phi alone fits this budget, so it aborts only because the failed k
+        # counts against it; the campaign row must abort too
+        assert solve(make("helm", 5), "b_sum_min").nodes_explored == 59
+        budget = SearchBudget(max_nodes=59 - 20 + 1)
+        (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget)
         assert row.status == "aborted"
 
     def test_aborted_min_aborts_max_without_search(self, monkeypatch):
@@ -142,11 +162,11 @@ class TestRunCampaign:
         monkeypatch.setattr(
             verification, "b_sum", lambda g, direction, budget=None: calls.append(direction) or real(g, direction, budget)
         )
-        budget = SearchBudget(max_nodes=3_638 - 23 + 1)
-        rows = run_campaign(["sunlet"], 8, 8, ["b_sum_min", "b_sum_max"], budget=budget)
+        budget = SearchBudget(max_nodes=59 - 20 + 1)
+        rows = run_campaign(["helm"], 5, 5, ["b_sum_min", "b_sum_max"], budget=budget)
         assert [(r.quantity, r.status, r.nodes_explored) for r in rows] == [
-            ("b_sum_min", "aborted", 3_617),
-            ("b_sum_max", "aborted", 3_617),
+            ("b_sum_min", "aborted", 41),
+            ("b_sum_max", "aborted", 41),
         ]
         assert calls == ["min"]
         assert rows[0].elapsed_ms == rows[1].elapsed_ms
@@ -160,11 +180,11 @@ class TestRunCampaign:
     def test_jobs_match_serial(self, tmp_path):
         strip = lambda rows: [(r.family, r.n, r.quantity, r.computed, r.status, r.nodes_explored) for r in rows]
         witnesses = lambda d: {p.name: p.read_bytes() for p in (d / "witnesses").iterdir()}
-        # under the second budget sunlet:8's b_sum_min search aborts (see
+        # under the second budget helm:5's b_sum_min search aborts (see
         # test_row_budget_covers_phi_scan), so an abort crosses the pool too
         cases = [
             ((["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"]), SearchBudget()),
-            ((["sunlet"], 7, 8, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=3_638 - 23 + 1)),
+            ((["helm"], 4, 5, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=59 - 20 + 1)),
         ]
         for i, (args, budget) in enumerate(cases):
             serial = run_campaign(*args, budget=budget, out_dir=tmp_path / f"serial{i}")
@@ -172,8 +192,8 @@ class TestRunCampaign:
             assert strip(serial) == strip(parallel)
             assert witnesses(tmp_path / f"serial{i}") == witnesses(tmp_path / f"pool{i}")
         assert [(r.n, r.status, r.nodes_explored) for r in parallel if r.status == "aborted"] == [
-            (8, "aborted", 3_617),
-            (8, "aborted", 3_617),
+            (5, "aborted", 41),
+            (5, "aborted", 41),
         ]
 
 
@@ -261,6 +281,34 @@ class TestCache:
         self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
         assert ResultsCache(path).get("sunlet", 3, "chi_sum_min").value == 6
 
+    def test_witness_of_another_graph_is_a_miss(self, tmp_path):
+        # the sum of [1, 1, 1, 2] is 5, but sunlet:3 has 6 vertices, not 4
+        path = tmp_path / "results.json"
+        self._write_entry(path, "chi_sum_min", 5, {"k": 2, "colors": [1, 1, 1, 2]})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 3, "chi_sum_min") is None
+        (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], out_dir=tmp_path, cache=cache)
+        assert (row.computed, validate_witness(row, tmp_path)) == (10, True)
+
+    def test_keys_no_run_asks_for_are_dropped(self, tmp_path):
+        def entry(quantity, colors):
+            result = {"quantity": quantity, "value": max(colors), "witness": {"k": max(colors), "colors": colors},
+                      "nodes": 1, "millis": 1}
+            return {"solver_version": SOLVER_VERSION, "result": result}
+
+        kept = {"helm:3:chi": entry("chi", [1, 2, 3, 4, 1, 1, 1])}
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"version": 1, "entries": {
+            **kept,
+            "sunlet:3:sparkle": entry("sparkle", [1, 2, 1, 2, 1, 2]),  # unknown quantity
+            "gear:3:chi": entry("chi", [1, 2, 1, 2, 1, 2]),  # unknown family
+            "sunlet:2:chi": entry("chi", [1, 2, 1, 2]),  # n below MIN_N
+            "helm:03:chi": entry("chi", [1, 2, 3, 4, 1, 1, 1]),  # get asks for helm:3:chi
+        }}))
+        cache = ResultsCache(path)
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == kept
+
     def test_number_row_value_must_be_its_witness_k(self, tmp_path):
         cache = ResultsCache(tmp_path / "c.json")
         result = solve(make("helm", 3), "chi")
@@ -296,12 +344,12 @@ class TestCache:
                                      "result": result("chi_sum_min", 18, [1] * 18)},
             "sunlet:9:b_sum_min": {"solver_version": SOLVER_VERSION,
                                    "result": result("b_sum_min", 999, [1] * 18)},
-            "sunlet:8:b_sum_min": "garbage",
+            "helm:5:b_sum_min": "garbage",
             "helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept},
         }}))
         cache = ResultsCache(path)
-        budget = SearchBudget(max_nodes=3_638 - 23 + 1)  # sunlet:8 b_sum_min aborts
-        (row,) = run_campaign(["sunlet"], 8, 8, ["b_sum_min"], budget=budget, cache=cache)
+        budget = SearchBudget(max_nodes=59 - 20 + 1)  # helm:5 b_sum_min aborts
+        (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget, cache=cache)
         assert row.status == "aborted"
         cache.save()
         entries = json.loads(path.read_text())["entries"]
@@ -395,6 +443,12 @@ def test_desk_witnesses_pinned(tmp_path):
         assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
         digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
     assert digest.hexdigest() == DESK_WITNESS_DIGEST
+
+
+def test_desk_node_total_pinned():
+    # a sum row's scan ends with its min search, so no k is searched twice
+    rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
+    assert sum(r.nodes_explored for r in rows) == 23_484
 
 
 def test_import_leaves_process_pool_unloaded():
