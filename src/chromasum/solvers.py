@@ -33,8 +33,9 @@ there the two searches walk the same tree; a sum is its scan's last
 search.  Only the min is searched: relabelling a partition in reverse
 colour order maps its min labelling onto its max labelling, so the two sums
 add up to (k+1)*|V|, and each *_sum_max is the max labelling of the
-partition its *_sum_min finds.  A witness shows its colouring sum for a sum
-quantity and its k for chi and b_chromatic (`witness_value`).
+partition its *_sum_min finds: six quantities are read off four searches
+(`SEARCH_OF`).  A witness shows its colouring sum for a sum quantity and
+its k for chi and b_chromatic (`witness_value`).
 
 A budget bounds the nodes and wall time of one call, its scan included;
 exhausting either raises, it never degrades to a wrong answer.
@@ -50,14 +51,18 @@ from .graphs import Graph
 
 SOLVER_VERSION = "4"
 
-QUANTITIES = (
-    "chi",
-    "chi_sum_min",
-    "chi_sum_max",
-    "b_chromatic",
-    "b_sum_min",
-    "b_sum_max",
-)
+# The search each quantity's row is read from.  A *_sum_max row is its
+# *_sum_min search relabelled (`max_twin`); every other quantity is a search.
+SEARCH_OF = {
+    "chi": "chi",
+    "chi_sum_min": "chi_sum_min",
+    "chi_sum_max": "chi_sum_min",
+    "b_chromatic": "b_chromatic",
+    "b_sum_min": "b_sum_min",
+    "b_sum_max": "b_sum_min",
+}
+
+QUANTITIES = tuple(SEARCH_OF)
 
 
 @dataclass(frozen=True)
@@ -171,17 +176,17 @@ def max_twin(result: SumResult) -> SumResult:
 
 
 def _solve(g: Graph, quantity: str, budget: SearchBudget | None) -> SumResult:
-    """One quantity of g under one budget: the scan's last search, labelled
-    for the min, or for a *_sum_max the max twin of its *_sum_min."""
-    if quantity not in QUANTITIES:
+    """One quantity of g under one budget: its search's scan, whose last
+    partition is labelled for the min, and for a *_sum_max its max twin."""
+    if quantity not in SEARCH_OF:
         raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity.endswith("_max"):
-        return max_twin(_solve(g, quantity.removesuffix("_max") + "_min", budget))
+    search = SEARCH_OF[quantity]
     tracker = _Tracker(budget or SearchBudget())
-    first = quantity in ("chi", "b_chromatic")
-    classes = _scan(g, tracker, require_b=quantity.startswith("b_"), first=first)
+    first = search in ("chi", "b_chromatic")
+    classes = _scan(g, tracker, require_b=search.startswith("b_"), first=first)
     witness = optimal_labeling(classes, "min", n=g.n)
-    return SumResult(quantity, witness_value(quantity, witness), witness, tracker.nodes, tracker.elapsed_ms())
+    result = SumResult(search, witness_value(search, witness), witness, tracker.nodes, tracker.elapsed_ms())
+    return result if search == quantity else max_twin(result)
 
 
 def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[list[int]]:

@@ -2,13 +2,17 @@
 published predictions, and emit reports plus re-validatable witness files.
 
 A mismatch is a first-class outcome, not a failure: the harness exists to
-audit the published values, so disagreements surface as data.  Rows are
-produced in a fixed (family, n, quantity) order regardless of how worker
-jobs complete, and cached results carry their original node/time counts,
-so warm reruns are byte-identical to the run that populated the cache.
-Each row's outcome, a SumResult or the BudgetExhausted that aborted it,
-crosses the process pool as it is; an aborted row reports the nodes and
-millis its search's tracker counted.
+audit the published values, so disagreements surface as data.  The unit of
+work is the search: a campaign plans, looks up, runs and caches only the
+searches its rows are read from (`solvers.SEARCH_OF`), and reads each row
+off its search's outcome.  A *_sum_max row is the max twin of its solved
+*_sum_min search, or the same BudgetExhausted when that search aborted.
+Rows are produced in a fixed (family, n, quantity) order regardless of how
+worker jobs complete, and cached results carry their original node/time
+counts, so warm reruns are byte-identical to the run that populated the
+cache.  Each search's outcome, a SumResult or the BudgetExhausted that
+aborted it, crosses the process pool as it is; an aborted row reports the
+nodes and millis its search's tracker counted.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .coloring import Coloring, is_b_colouring, is_proper
 from .graphs import Graph
 from .solvers import (
     QUANTITIES,
+    SEARCH_OF,
     SOLVER_VERSION,
     BudgetExhausted,
     SearchBudget,
@@ -72,14 +77,19 @@ class VerificationRow:
 
 
 class ResultsCache:
-    """JSON store of solver results keyed by instance.
+    """JSON store of search results keyed by (family, n, search).
 
+    Only searches are stored: a *_sum_max row is read off its *_sum_min
+    entry, so no max entry can pair with a min from another partition.
     Each entry is checked and decoded once, when the file is loaded.  One
-    recorded under a different solver version, a malformed one, or one that
-    does not match its key (see `_keep`) is dropped then, so it is neither
-    served nor saved again.  A put that does not match its key is dropped
-    the same way, with the entry it would have replaced.  A corrupt file is
-    discarded with a warning and rebuilt."""
+    recorded under a different solver version, a malformed one, one under a
+    *_sum_max or other key no run asks for, or one that does not match its
+    key (see `_keep`) is dropped then, so it is neither served nor saved
+    again.  A put that does not match its key is dropped the same way, with
+    the entry it would have replaced.  A corrupt file is discarded with a
+    warning and rebuilt.  Whether a witness colours its graph properly is
+    checked by the run that would serve it (`_served`), which builds the
+    graph and discards an entry that fails."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -110,7 +120,7 @@ class ResultsCache:
 
     def _keep(self, key: str, result: SumResult):
         """Store result under key if a run can ask for the key and result is
-        for its quantity, colours each vertex of its graph (counted from the
+        for its search, colours each vertex of its graph (counted from the
         ring table; no graph is built) and shows its value; else drop it."""
         self._entries.pop(key, None)
         try:
@@ -119,7 +129,7 @@ class ResultsCache:
             return
         if (
             key == self._key(kind, n, result.quantity)
-            and result.quantity in QUANTITIES
+            and SEARCH_OF.get(result.quantity) == result.quantity
             and len(result.witness.colors) == families.order(kind, n)
             and result.value == witness_value(result.quantity, result.witness)
         ):
@@ -134,6 +144,9 @@ class ResultsCache:
 
     def put(self, family: str, n: int, quantity: str, result: SumResult):
         self._keep(self._key(family, n, quantity), result)
+
+    def discard(self, family: str, n: int, quantity: str):
+        self._entries.pop(self._key(family, n, quantity), None)
 
     def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -165,25 +178,42 @@ def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumRes
 
 
 def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
-    """Solve every requested quantity for one (family, n), each row one solve
-    call on its own budget, and map each quantity to its result or to the
-    BudgetExhausted that aborted it; both pickle, so they cross the process
-    pool as they are.  A *_sum_max is its *_sum_min search relabelled, so
-    when the group ran that search the max row reuses its outcome: the max
-    labelling of its partition, or the same abort."""
-    family, n, quantities, budget = task
+    """Run the given searches of one (family, n), each one solve call on its
+    own budget, and map each search to its result or to the BudgetExhausted
+    that aborted it; both pickle, so they cross the process pool as they
+    are."""
+    family, n, searches, budget = task
     g = families.make(family, n)
     out: dict[str, SumResult | BudgetExhausted] = {}
-    for quantity in quantities:
-        twin = out.get(quantity.removesuffix("_max") + "_min")
-        if quantity.endswith("_sum_max") and twin is not None:
-            out[quantity] = max_twin(twin) if isinstance(twin, SumResult) else twin
-            continue
+    for search in searches:
         try:
-            out[quantity] = solve(g, quantity, budget)
+            out[search] = solve(g, search, budget)
         except BudgetExhausted as exc:
-            out[quantity] = exc
+            out[search] = exc
     return out
+
+
+def _served(cache: ResultsCache, family: str, n: int, searches) -> dict[str, SumResult]:
+    """The cached results of `searches` whose witness colours family(n)
+    properly and, for a b search, is a b-colouring.  The graph is built once,
+    without its symmetry group, and only if some search is cached.  An entry
+    that fails is dropped from the cache: a miss, whose search runs again."""
+    hits = {s: r for s in searches if (r := cache.get(family, n, s)) is not None}
+    if hits:
+        g = Graph(families.order(family, n), families.edges(family, n))
+        for search, result in list(hits.items()):
+            if not _colours(g, search, result.witness):
+                cache.discard(family, n, search)
+                del hits[search]
+    return hits
+
+
+def _colours(g: Graph, quantity: str, witness: Coloring) -> bool:
+    """True if witness is a proper colouring of g and, for a b quantity, a
+    b-colouring."""
+    if len(witness.colors) != g.n:
+        return False
+    return (is_b_colouring if quantity.startswith("b_") else is_proper)(g, witness)
 
 
 def plan_tasks(
@@ -224,15 +254,19 @@ def run_campaign(
 ) -> list[VerificationRow]:
     budget = budget or SearchBudget()
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
-    outcomes: dict[tuple[str, int, str], SumResult | BudgetExhausted] = {}
-    groups: dict[tuple[str, int], list[str]] = {}
+    # the searches each (family, n) needs, in order and once each
+    searches: dict[tuple[str, int], dict[str, None]] = {}
     for family, n, quantity in tasks:
-        hit = cache.get(family, n, quantity) if cache is not None else None
-        if hit is not None:
-            outcomes[(family, n, quantity)] = hit
-        else:
-            groups.setdefault((family, n), []).append(quantity)
-    group_tasks = [(family, n, tuple(qs), budget) for (family, n), qs in sorted(groups.items())]
+        searches.setdefault((family, n), {})[SEARCH_OF[quantity]] = None
+    outcomes: dict[tuple[str, int, str], SumResult | BudgetExhausted] = {}
+    group_tasks = []
+    for (family, n), wanted in sorted(searches.items()):
+        hits = _served(cache, family, n, wanted) if cache is not None else {}
+        for search, hit in hits.items():
+            outcomes[(family, n, search)] = hit
+        missing = tuple(s for s in wanted if s not in hits)
+        if missing:
+            group_tasks.append((family, n, missing, budget))
 
     if jobs > 1 and len(group_tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
@@ -242,10 +276,10 @@ def run_campaign(
     else:
         solved = [_solve_group(t) for t in group_tasks]
     for (family, n, _, _), result_map in zip(group_tasks, solved):
-        for quantity, outcome in result_map.items():
-            outcomes[(family, n, quantity)] = outcome
+        for search, outcome in result_map.items():
+            outcomes[(family, n, search)] = outcome
             if cache is not None and isinstance(outcome, SumResult):
-                cache.put(family, n, quantity, outcome)
+                cache.put(family, n, search, outcome)
 
     witness_dir = None
     if out_dir is not None:
@@ -255,7 +289,9 @@ def run_campaign(
     rows = []
     for family, n, quantity in tasks:
         predicted = formulas.predict(family, quantity, n)
-        outcome = outcomes[(family, n, quantity)]
+        outcome = outcomes[(family, n, SEARCH_OF[quantity])]
+        if isinstance(outcome, SumResult) and outcome.quantity != quantity:
+            outcome = max_twin(outcome)
         computed, status, witness_rel = None, "aborted", ""
         if isinstance(outcome, SumResult):
             computed = outcome.value
@@ -366,10 +402,7 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
     except (OSError, KeyError, TypeError, ValueError):
         return False
-    g = families.make(row.family, row.n)
-    if len(witness.colors) != g.n or not is_proper(g, witness):
-        return False
-    if row.quantity.startswith("b_") and not is_b_colouring(g, witness):
+    if not _colours(families.make(row.family, row.n), row.quantity, witness):
         return False
     if witness_value(row.quantity, witness) != row.computed:
         return False

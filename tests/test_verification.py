@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import chromasum
-from chromasum import formulas, verification
+from chromasum import families, formulas, verification
 from chromasum.families import MIN_N, make
-from chromasum.solvers import SOLVER_VERSION, SearchBudget
+from chromasum.solvers import SOLVER_VERSION, SearchBudget, max_twin
 from chromasum.verification import (
     DESK_CAPS,
     ResultsCache,
@@ -277,9 +277,83 @@ class TestCache:
         # a sum row whose witness sums to 6, not 999
         self._write_entry(path, "chi_sum_min", 999, {"k": 1, "colors": [1] * 6})
         assert ResultsCache(path).get("sunlet", 3, "chi_sum_min") is None
-        # the same witness with its own sum is served as recorded
+        # the same witness with its own sum is not a proper colouring, so the
+        # run that would serve it solves the row again, and the save replaces it
         self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
-        assert ResultsCache(path).get("sunlet", 3, "chi_sum_min").value == 6
+        cache = ResultsCache(path)
+        (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
+        assert (row.computed, row.status) == (10, "mismatch")
+        cache.save()
+        assert json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]["result"]["value"] == 10
+
+    def test_b_search_witness_must_be_a_b_colouring(self, tmp_path):
+        # a proper 5-colouring of helm:3 showing its own sum 17; colour 5 is
+        # one pendant vertex, which sees one colour, so it is no b-colouring
+        path = tmp_path / "results.json"
+        witness = {"k": 5, "colors": [1, 2, 3, 4, 5, 1, 1]}
+        result = {"quantity": "b_sum_min", "value": 17, "witness": witness, "nodes": 1, "millis": 1}
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "helm:3:b_sum_min": {"solver_version": SOLVER_VERSION, "result": result},
+        }}))
+        cache = ResultsCache(path)
+        assert cache.get("helm", 3, "b_sum_min").value == 17
+        (row,) = run_campaign(["helm"], 3, 3, ["b_sum_min"], out_dir=tmp_path, cache=cache)
+        assert (row.computed, validate_witness(row, tmp_path)) == (13, True)
+
+    def test_improper_entry_is_dropped_when_its_row_aborts(self, tmp_path):
+        # no put replaces the entry of an aborted row, so the failed check
+        # itself must drop it
+        path = tmp_path / "results.json"
+        self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
+        cache = ResultsCache(path)
+        (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], budget=SearchBudget(max_nodes=1), cache=cache)
+        assert row.status == "aborted"
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == {}
+
+    def test_max_row_is_its_cached_min_relabelled(self, tmp_path):
+        # a proper colouring of sunlet:4 from another partition than the
+        # min's, max-labelled and showing its own sum 24; an older cache may
+        # pair it with the min, but the max row is read off the min alone
+        path = tmp_path / "results.json"
+        minimum = solve(make("sunlet", 4), "b_sum_min")
+        foreign = {"quantity": "b_sum_max", "value": 24,
+                   "witness": {"k": 4, "colors": [3, 4, 3, 4, 1, 2, 4, 3]}, "nodes": 1, "millis": 1}
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "sunlet:4:b_sum_min": {"solver_version": SOLVER_VERSION, "result": minimum.to_json()},
+            "sunlet:4:b_sum_max": {"solver_version": SOLVER_VERSION, "result": foreign},
+        }}))
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 4, "b_sum_max") is None
+        (row,) = run_campaign(["sunlet"], 4, 4, ["b_sum_max"], out_dir=tmp_path, cache=cache)
+        twin = max_twin(minimum)
+        assert (row.computed, row.nodes_explored) == (twin.value, minimum.nodes_explored) == (20, 19)
+        assert json.loads((tmp_path / row.witness_path).read_text()) == twin.witness.to_json()
+        cache.save()
+        assert list(json.loads(path.read_text())["entries"]) == ["sunlet:4:b_sum_min"]
+
+    def test_max_only_run_caches_its_min_search(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.json"
+        args = (["sunlet"], 4, 5, ["b_sum_max"])
+        cold = run_campaign(*args, cache=ResultsCache(path))
+        assert sorted(json.loads(path.read_text())["entries"]) == ["sunlet:4:b_sum_min", "sunlet:5:b_sum_min"]
+        calls = []
+        real = verification.solve
+        monkeypatch.setattr(verification, "solve", lambda g, q, budget=None: calls.append(q) or real(g, q, budget))
+        warm = run_campaign(*args, cache=ResultsCache(path))
+        assert calls == []
+        assert render_report(cold, "csv") == render_report(warm, "csv")
+
+    def test_served_rows_build_each_graph_once_without_group(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.json"
+        args = (["sunlet"], 3, 4, ["chi_sum_min", "chi_sum_max", "b_sum_min", "b_sum_max"])
+        run_campaign(*args, cache=ResultsCache(path))
+        built = []
+        real = families.edges
+        monkeypatch.setattr(families, "edges", lambda kind, n: built.append((kind, n)) or real(kind, n))
+        monkeypatch.setattr(families, "make", lambda kind, n: pytest.fail("a served row built a dihedral group"))
+        run_campaign(*args, cache=ResultsCache(path))
+        assert built == [("sunlet", 3), ("sunlet", 4)]
 
     def test_witness_of_another_graph_is_a_miss(self, tmp_path):
         # the sum of [1, 1, 1, 2] is 5, but sunlet:3 has 6 vertices, not 4
@@ -443,6 +517,15 @@ def test_desk_witnesses_pinned(tmp_path):
         assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
         digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
     assert digest.hexdigest() == DESK_WITNESS_DIGEST
+
+
+def test_desk_cache_holds_searches_only(tmp_path):
+    # 99 rows read off 51 searches: every *_sum_max row is its min relabelled
+    path = tmp_path / "results.json"
+    run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES, cache=ResultsCache(path))
+    keys = json.loads(path.read_text())["entries"]
+    assert len(keys) == 51
+    assert not [key for key in keys if key.endswith("_sum_max")]
 
 
 def test_desk_node_total_pinned():
