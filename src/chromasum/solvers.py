@@ -10,11 +10,15 @@ are assigned post hoc, which shrinks the space by k! and keeps witnesses
 reproducible: among equal-value partitions the lexicographically first
 restricted-growth string wins.
 
-Each node of the enumerator costs O(k + eligible + deg(v)): the bound's
-min-labelled weight is carried down the search with a histogram `above` of
-the class sizes instead of re-sorting them, and b-feasibility reads
-per-vertex counts `seen` of the opened classes each vertex sees through one
-per-node mask `good` (see `_partition`).
+Each node of the enumerator costs O(k + deg(v)): the bound's min-labelled
+weight is carried down the search with a histogram `above` of the class
+sizes instead of re-sorting them; b-feasibility reads a mask `good` of the
+vertices that can still see k-1 other classes, which is passed down the
+search and narrowed only where an assignment uses up a vertex's slack; and
+nodes are counted in a local that meets the budget only at every 1,024th
+node and past the node budget.  Where that bound does not prune, a second
+one caps the largest class by what any class can still hold, in O(k)
+popcounts (see `_partition`).
 
 A graph that carries a symmetry group (the families carry the dihedral
 group D_n of their rings) is searched once per orbit: a partition whose
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "4"
+SOLVER_VERSION = "5"
 
 # The search each quantity's row is read from.  A *_sum_max row is its
 # *_sum_min search relabelled (`max_twin`); every other quantity is a search.
@@ -121,11 +125,19 @@ class _Tracker:
         self.nodes = 0
 
     def tick(self):
+        """Count one node; raise if the budget is spent."""
         self.nodes += 1
+        self.check()
+
+    def check(self) -> int:
+        """Raise if the budget is spent at `nodes`: the count is past
+        max_nodes, or it is a multiple of 1,024 and the deadline has passed.
+        Else return the least count above `nodes` at which it can be spent."""
         if self.nodes > self.max_nodes:
             raise BudgetExhausted("node budget exhausted", self.nodes, self.elapsed_ms())
         if not (self.nodes & 0x3FF) and time.monotonic() > self.deadline:
             raise BudgetExhausted("time budget exhausted", self.nodes, self.elapsed_ms())
+        return min((self.nodes | 0x3FF) + 1, self.max_nodes + 1)
 
     def elapsed_ms(self) -> int:
         return int((time.monotonic() - self.t0) * 1000)
@@ -216,30 +228,52 @@ def _partition(
     with `first` the lexicographically first one; None if there is none.
 
     Vertices are assigned in index order, so at vertex v the unassigned
-    vertices are v..n-1, and each node costs O(k + eligible + deg(v)) work.
+    vertices are v..n-1, and each node costs O(k + deg(v)) work.
 
     Bound: a partial partition is completed optimistically by giving each
-    still-unopened class a single vertex and pouring every other unassigned
-    vertex into the currently largest class; that completion maximises
-    every prefix sum of the sorted size vector, so its min-labelled sum
-    bounds the subtree from below.  The min-labelled weight W of the sorted
-    sizes is carried down the search: with `above[s]` the number of opened
-    classes larger than s, growing a class from s to s+1 moves it to rank
-    above[s]+1 and adds that rank to W.  The completion's weight is then
-    W + (rem-need) + need*used + need*(need+1)/2 in O(1), and W at a leaf is
-    its min labelled sum.
+    still-unopened class a single vertex and pouring the P = rem - need
+    other unassigned vertices into the currently largest class; that
+    completion maximises every prefix sum of the sorted size vector, so its
+    min-labelled sum bounds the subtree from below.  The min-labelled weight
+    W of the sorted sizes is carried down the search: with `above[s]` the
+    number of opened classes larger than s, growing a class from s to s+1
+    moves it to rank above[s]+1 and adds that rank to W.  The completion's
+    weight is then lb = W + P + need*used + need*(need+1)/2 in O(1), and W
+    at a leaf is its min labelled sum.
+
+    Capacity bound, tried when lb alone does not prune: the min-labelled sum
+    of sizes s_1 >= ... >= s_k is sum(i*s_i) = sum over j < k of (n - S_j),
+    with S_j the sum of the j largest sizes.  No completion has a larger
+    S_j than the greedy one, whose largest class ends at
+    top = max(sizes) + P.  But the largest class of any completion ends at
+    most at C = max(P+1 if need else 0, sizes[c] + popcount(free & ~sees[c])
+    over opened c), with free = the unassigned vertices v..n-1 and
+    `sees[c]` the vertices with a neighbour in c: an unopened class leaves
+    one vertex to each of the other need-1, and an opened class can only
+    take unassigned vertices outside sees[c].  So S_1 falls short of its
+    greedy value by at least top - C, every other S_j keeps its greedy
+    bound, and every leaf below costs at least lb + max(0, top - C); the
+    node is cut when that reaches the incumbent.  It costs O(used)
+    popcounts and no sort.
 
     b-feasibility: an eligible vertex w (degree >= k-1) can still dominate
     an opened class c if it is in c, or unassigned with no neighbour in c,
-    and it sees or can still see k-1 other classes.  In both cases w has no
-    neighbour in c, so the classes w already sees are `seen[w]`, the opened
-    classes holding a neighbour of w, and `sees[c]` masks the vertices with
-    a neighbour in c; assign and undo update both.  Per node the mask
-    `good` of eligible w with seen[w] + (unassigned neighbours) >= k-1 is
-    built once, and class c is feasible if good meets c or meets the
-    unassigned vertices outside sees[c].  At a leaf nothing is unassigned,
-    so the same test is the b-colouring check: w dominates c iff
-    seen[w] == k-1.
+    and it sees or can still see k-1 other classes, which it does while
+    slack[w] = (opened classes holding a neighbour of w) + (unassigned
+    neighbours of w) - (k-1) >= 0.  Assigning v to class c lowers slack[w]
+    by one for each eligible neighbour w of v that already sees c, and
+    changes no other slack, so slack only falls along a branch: the mask
+    `good` of eligible w with slack[w] >= 0 is an argument of `search`, and
+    a child clears w's bit when w's slack drops below 0.  Class c is
+    feasible if good meets c or meets the unassigned vertices outside
+    sees[c].  At a leaf nothing is unassigned, so the same test is the
+    b-colouring check: w is in good iff it sees all k-1 other classes.
+
+    Node count: `search` counts nodes in a local and hands the count to the
+    tracker at its first node and then only at the next count where the
+    budget can run out (a multiple of 1,024, where the deadline is read, or
+    max_nodes+1), so an abort reports the exact node it stopped at;
+    `tracker.nodes` is synced when the search ends or aborts.
 
     Lex-leader cut: `_lex_leader_cut` finds the shortest prefix 0..d-1 that
     every automorphism of g maps onto itself (for a family: the hub and
@@ -253,28 +287,22 @@ def _partition(
     sees = [0] * k
     sizes = [0] * k
     above = [0] * (n + 1)
-    seen = [0] * n
     assign = [0] * n
     eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1] if require_b else []
     if require_b and len(eligible) < k:
         return None
-    # eligible neighbours of each vertex, whose seen counts its assignment moves
+    slack = [adj[w].bit_count() - (k - 1) for w in range(n)]
+    # eligible neighbours of each vertex, whose slack its assignment can lower
     watchers = [[w for w in eligible if adj[v] >> w & 1] for v in range(n)]
-    # at vertex v: eligible w good whatever seen[w] is, and (w, bit, least seen[w]) for the rest
-    sure = [0] * (n + 1)
-    short: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for v in range(n + 1):
-        for w in eligible:
-            lack = k - 1 - (adj[w] >> v).bit_count()
-            if lack <= 0:
-                sure[v] |= 1 << w
-            else:
-                short[v].append((w, 1 << w, lack))
+    watched = [sum(1 << w for w in ws) for ws in watchers]
+    everyone = (1 << n) - 1
 
     cut, images = _lex_leader_cut(g)
 
     best_value: int | None = None
     best_assign: list[int] | None = None
+    nodes = tracker.nodes
+    alarm = nodes + 1
 
     def lex_leader() -> bool:
         """False if some automorphism maps assign[:cut] onto a lex-smaller
@@ -294,27 +322,24 @@ def _partition(
                     break
         return True
 
-    def b_feasible(v: int, used: int) -> bool:
-        good = sure[v]
-        for w, wbit, lack in short[v]:
-            if seen[w] >= lack:
-                good |= wbit
-        free = good >> v << v
-        for c in range(used):
-            if not (good & masks[c] or free & ~sees[c]):
-                return False
-        return True
-
-    def search(v: int, used: int, weight: int) -> bool:
+    def search(v: int, used: int, weight: int, good: int) -> bool:
         """Explore the subtree; True stops the whole search.  `weight` is the
-        min-labelled sum of the sizes so far."""
-        nonlocal best_value, best_assign
-        tracker.tick()
+        min-labelled sum of the sizes so far, `good` the eligible vertices
+        of non-negative slack."""
+        nonlocal best_value, best_assign, nodes, alarm
+        nodes += 1
+        if nodes == alarm:
+            tracker.nodes = nodes
+            alarm = tracker.check()
         if v == cut and not lex_leader():
             return False
         if v == n:
-            if used != k or (require_b and not b_feasible(n, k)):
+            if used != k:
                 return False
+            if require_b:
+                for mc in masks:
+                    if not good & mc:
+                        return False
             if best_value is None or weight < best_value:
                 best_value, best_assign = weight, assign.copy()
             return first
@@ -322,16 +347,29 @@ def _partition(
         rem = n - v
         if need > rem:
             return False
-        if (
-            best_value is not None
-            and used
-            and weight + rem - need + need * used + need * (need + 1) // 2 >= best_value
-        ):
-            return False
-        if require_b and used and not b_feasible(v, used):
-            return False
+        if best_value is not None and used:
+            spare = rem - need
+            lb = weight + spare + need * used + need * (need + 1) // 2
+            if lb >= best_value:
+                return False
+            # capacity bound: cut if no class can end with more than `limit`
+            # vertices, as the greedy largest class then overshoots by enough
+            limit = lb + max(sizes) + spare - best_value
+            if limit >= (spare + 1 if need else 0):
+                free = everyone >> v << v
+                for c in range(used):
+                    if sizes[c] + (free & ~sees[c]).bit_count() > limit:
+                        break
+                else:
+                    return False
+        if require_b and used:
+            free = good >> v << v
+            for c in range(used):
+                if not (good & masks[c] or free & ~sees[c]):
+                    return False
         av = adj[v]
         vbit = 1 << v
+        watch = watched[v]
         for c in range(used + 1 if used < k else k):
             mc = masks[c]
             if av & mc:
@@ -343,22 +381,32 @@ def _partition(
             sizes[c] = s + 1
             masks[c] = mc | vbit
             sees[c] = sc | av
-            for w in watchers[v]:
-                if not sc >> w & 1:
-                    seen[w] += 1
             assign[v] = c
-            if search(v + 1, used + 1 if c == used else used, weight + rank):
+            # eligible neighbours of v that already see c lose one slack
+            hit = watch & sc
+            lost = 0
+            if hit:
+                for w in watchers[v]:
+                    if hit >> w & 1:
+                        slack[w] -= 1
+                        if slack[w] < 0:
+                            lost |= 1 << w
+            if search(v + 1, used + 1 if c == used else used, weight + rank, good & ~lost):
                 return True
-            for w in watchers[v]:
-                if not sc >> w & 1:
-                    seen[w] -= 1
+            if hit:
+                for w in watchers[v]:
+                    if hit >> w & 1:
+                        slack[w] += 1
             sees[c] = sc
             masks[c] = mc
             sizes[c] = s
             above[s] = rank - 1
         return False
 
-    search(0, 0, 0)
+    try:
+        search(0, 0, 0, sum(1 << w for w in eligible))
+    finally:
+        tracker.nodes = nodes
     if best_assign is None:
         return None
     classes: list[list[int]] = [[] for _ in range(k)]

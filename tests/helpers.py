@@ -74,8 +74,12 @@ def reference_partition(g, k, tracker, require_b, first=False):
     """The loop version of `solvers._partition`, kept as the reference for the
     incremental one: each node rescans every opened class against every
     eligible vertex for b-feasibility, sorts and pads the class sizes for the
-    bound, and checks at a leaf that each class has a vertex seeing every
-    other class.  Same pruning decisions, so the same classes and nodes."""
+    bound, raises it by how far the padded largest class exceeds what any
+    class can still hold (each opened class's size plus the unassigned
+    vertices with no neighbour in it, or one more than the vertices spare
+    for an unopened class), and checks at a leaf that each class has a
+    vertex seeing every other class.  Same pruning decisions, so the same
+    classes and nodes."""
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
@@ -146,7 +150,13 @@ def reference_partition(g, k, tracker, require_b, first=False):
             padded = sorted(sizes[:used], reverse=True)
             padded[0] += rem - need
             padded += [1] * need
-            if sum(i * s for i, s in enumerate(padded, start=1)) >= best_value:
+            # the most vertices any one class can end with
+            cap = rem - need + 1 if need else 0
+            for c in range(used):
+                outside = sum(1 for u in range(v, n) if not adj[u] & masks[c])
+                cap = max(cap, sizes[c] + outside)
+            excess = max(0, padded[0] - cap)
+            if sum(i * s for i, s in enumerate(padded, start=1)) + excess >= best_value:
                 return False
         if require_b and used and not b_feasible(v, used):
             return False

@@ -8,11 +8,14 @@ from helpers import complete_graph, cycle, empty_graph, star
 from chromasum import solvers
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import make
+from chromasum.graphs import Graph
 from chromasum.solvers import (
     QUANTITIES,
     BudgetExhausted,
     SearchBudget,
     SumResult,
+    _partition,
+    _Tracker,
     b_chromatic_number,
     b_sum,
     chi_sum,
@@ -193,7 +196,7 @@ class TestBudget:
 
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):
-            b_sum(make("helm", 7), "min", budget=SearchBudget(max_time=0.0))
+            b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))
 
     def test_budget_covers_nested_phases(self):
         # chi is computed inside chi_sum and must burn the same budget
@@ -202,11 +205,12 @@ class TestBudget:
 
     def test_abort_carries_tracker_millis(self, monkeypatch):
         # a clock one second on per reading: the tracker starts at 0, its
-        # first deadline check at node 1,024 reads 1, and the abort reads 2
+        # first deadline check at node 1,024 reads 1, and the abort reads 2;
+        # sunlet:10's search takes 10,276 nodes, so it reaches that check
         clock = iter(range(100))
         monkeypatch.setattr(solvers.time, "monotonic", lambda: next(clock))
         with pytest.raises(BudgetExhausted) as info:
-            b_sum(make("helm", 7), "min", budget=SearchBudget(max_time=0.0))
+            b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))
         assert (info.value.nodes_explored, info.value.elapsed_ms) == (1_024, 2_000)
 
 
@@ -219,10 +223,10 @@ class TestPickle:
 
     def test_budget_exhausted(self):
         with pytest.raises(BudgetExhausted) as info:
-            b_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=59 - 20 + 1))
+            b_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=50 - 20 + 1))
         back = pickle.loads(pickle.dumps(info.value))
         assert (str(back), back.nodes_explored, back.elapsed_ms) == (
-            "node budget exhausted", 41, info.value.elapsed_ms,
+            "node budget exhausted", 32, info.value.elapsed_ms,
         )
         back = pickle.loads(pickle.dumps(BudgetExhausted("time budget exhausted", 5, 17)))
         assert (back.nodes_explored, back.elapsed_ms) == (5, 17)
@@ -236,12 +240,12 @@ class TestNodeCounts:
     shows here."""
 
     CASES = [
-        (b_sum, "sunlet", 8, 3_615),
-        (b_sum, "web", 6, 4_761),
-        (b_sum, "closed_helm", 8, 4_852),
-        (b_sum, "helm", 8, 6_601),
-        (b_sum, "double_wheel", 9, 1_285),
-        (chi_sum, "double_wheel", 9, 1_300),
+        (b_sum, "sunlet", 8, 1_944),
+        (b_sum, "web", 6, 4_725),
+        (b_sum, "closed_helm", 8, 3_215),
+        (b_sum, "helm", 8, 3_381),
+        (b_sum, "double_wheel", 9, 809),
+        (chi_sum, "double_wheel", 9, 824),
     ]
 
     # ids name the search, not its count, so a re-pin keeps the test ids
@@ -250,6 +254,17 @@ class TestNodeCounts:
     )
     def test_min_search_nodes(self, solver, kind, n, nodes):
         assert solver(make(kind, n), "min").nodes_explored == nodes
+
+
+class TestCapacityBound:
+    def test_unopened_class_holds_one_more_than_the_spare_vertices(self):
+        # the least 3-class partition of this forest puts every vertex from
+        # 2 on in one class, which opens after 0 and 1 as singletons
+        # (oracle-confirmed, sum 10): a class not yet opened can end with one
+        # vertex more than the spare ones
+        g = Graph(7, [(0, 2), (0, 3), (1, 3), (1, 5)])
+        classes = _partition(g, 3, _Tracker(SearchBudget()), require_b=False, first=False)
+        assert classes == [[0], [1], [2, 3, 4, 5, 6]]
 
 
 class TestSolveDispatcher:

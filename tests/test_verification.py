@@ -31,6 +31,9 @@ ALL_QUANTITIES = ("chi", "chi_sum_min", "chi_sum_max", "b_chromatic", "b_sum_min
 # the nodes and millis columns, as computed by test_desk_witnesses_pinned
 # before the search was cut by the families' dihedral symmetry
 DESK_WITNESS_DIGEST = "7fb2ed2b98991a6e55d5f83987f475584f9f3dc34386b538f436c0062de045d0"
+# the same for the frontier campaign (test_frontier_witnesses_pinned), as
+# computed before the sum search gained its largest-class capacity bound
+FRONTIER_WITNESS_DIGEST = "69a054010050daf3a9528584b9938c3d2034ee1d05c234329bea4d3661164fdd"
 
 
 class TestPlanTasks:
@@ -145,12 +148,12 @@ class TestRunCampaign:
         assert row.witness_path == ""
 
     def test_row_budget_covers_phi_scan(self):
-        # b_sum(helm(5), "min") takes 59 nodes: 20 at k = m(G) = 5, where its
-        # phi scan finds no b-colouring, and 39 at phi = 4.  Its search at
+        # b_sum(helm(5), "min") takes 50 nodes: 20 at k = m(G) = 5, where its
+        # phi scan finds no b-colouring, and 30 at phi = 4.  Its search at
         # phi alone fits this budget, so it aborts only because the failed k
         # counts against it; the campaign row must abort too
-        assert solve(make("helm", 5), "b_sum_min").nodes_explored == 59
-        budget = SearchBudget(max_nodes=59 - 20 + 1)
+        assert solve(make("helm", 5), "b_sum_min").nodes_explored == 50
+        budget = SearchBudget(max_nodes=50 - 20 + 1)
         (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget)
         assert row.status == "aborted"
 
@@ -162,11 +165,11 @@ class TestRunCampaign:
         monkeypatch.setattr(
             verification, "b_sum", lambda g, direction, budget=None: calls.append(direction) or real(g, direction, budget)
         )
-        budget = SearchBudget(max_nodes=59 - 20 + 1)
+        budget = SearchBudget(max_nodes=50 - 20 + 1)
         rows = run_campaign(["helm"], 5, 5, ["b_sum_min", "b_sum_max"], budget=budget)
         assert [(r.quantity, r.status, r.nodes_explored) for r in rows] == [
-            ("b_sum_min", "aborted", 41),
-            ("b_sum_max", "aborted", 41),
+            ("b_sum_min", "aborted", 32),
+            ("b_sum_max", "aborted", 32),
         ]
         assert calls == ["min"]
         assert rows[0].elapsed_ms == rows[1].elapsed_ms
@@ -184,7 +187,7 @@ class TestRunCampaign:
         # test_row_budget_covers_phi_scan), so an abort crosses the pool too
         cases = [
             ((["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"]), SearchBudget()),
-            ((["helm"], 4, 5, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=59 - 20 + 1)),
+            ((["helm"], 4, 5, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=50 - 20 + 1)),
         ]
         for i, (args, budget) in enumerate(cases):
             serial = run_campaign(*args, budget=budget, out_dir=tmp_path / f"serial{i}")
@@ -192,8 +195,8 @@ class TestRunCampaign:
             assert strip(serial) == strip(parallel)
             assert witnesses(tmp_path / f"serial{i}") == witnesses(tmp_path / f"pool{i}")
         assert [(r.n, r.status, r.nodes_explored) for r in parallel if r.status == "aborted"] == [
-            (5, "aborted", 41),
-            (5, "aborted", 41),
+            (5, "aborted", 32),
+            (5, "aborted", 32),
         ]
 
 
@@ -422,7 +425,7 @@ class TestCache:
             "helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept},
         }}))
         cache = ResultsCache(path)
-        budget = SearchBudget(max_nodes=59 - 20 + 1)  # helm:5 b_sum_min aborts
+        budget = SearchBudget(max_nodes=50 - 20 + 1)  # helm:5 b_sum_min aborts
         (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget, cache=cache)
         assert row.status == "aborted"
         cache.save()
@@ -502,21 +505,37 @@ class TestRendering:
         assert (tmp_path / "report.md").exists()
 
 
+def witness_digest(rows, out_dir: Path) -> tuple[int, str]:
+    """The number of witness files a campaign wrote to out_dir, and the
+    sha256 of those files and of its report.csv without the nodes and millis
+    columns."""
+    write_reports(rows, out_dir, ("csv",))
+    digest = hashlib.sha256()
+    witnesses = sorted((out_dir / "witnesses").iterdir())
+    for path in witnesses:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    for line in (out_dir / "report.csv").read_text().splitlines():
+        cells = line.split(",")
+        assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
+        digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
+    return len(witnesses), digest.hexdigest()
+
+
 def test_desk_witnesses_pinned(tmp_path):
     # a change to the search may change node counts and timings, never a
     # value, a status or a witness of the desk campaign
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES, out_dir=tmp_path)
-    write_reports(rows, tmp_path, ("csv",))
-    digest = hashlib.sha256()
-    witnesses = sorted((tmp_path / "witnesses").iterdir())
-    assert len(witnesses) == len(rows) == 99
-    for path in witnesses:
-        digest.update(path.name.encode() + b"\n" + path.read_bytes())
-    for line in (tmp_path / "report.csv").read_text().splitlines():
-        cells = line.split(",")
-        assert cells[6:8] == ["nodes", "millis"] or all(c.isdigit() for c in cells[6:8])
-        digest.update(",".join(cells[:6] + cells[8:]).encode() + b"\n")
-    assert digest.hexdigest() == DESK_WITNESS_DIGEST
+    assert len(rows) == 99
+    assert witness_digest(rows, tmp_path) == (99, DESK_WITNESS_DIGEST)
+
+
+def test_frontier_witnesses_pinned(tmp_path):
+    # the frontier grid, n = 6 to two past each desk cap, holds the largest
+    # b-sum searches and the odd n >= 9 closed helm the desk never reaches
+    caps = {family: cap + 2 for family, cap in DESK_CAPS.items()}
+    rows = run_campaign(formulas.COVERED_FAMILIES, 6, caps, ALL_QUANTITIES, out_dir=tmp_path)
+    assert len(rows) == 78
+    assert witness_digest(rows, tmp_path) == (78, FRONTIER_WITNESS_DIGEST)
 
 
 def test_desk_cache_holds_searches_only(tmp_path):
@@ -531,7 +550,7 @@ def test_desk_cache_holds_searches_only(tmp_path):
 def test_desk_node_total_pinned():
     # a sum row's scan ends with its min search, so no k is searched twice
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
-    assert sum(r.nodes_explored for r in rows) == 23_484
+    assert sum(r.nodes_explored for r in rows) == 16_576
 
 
 def test_import_leaves_process_pool_unloaded():
