@@ -15,10 +15,13 @@ weight is carried down the search with a histogram `above` of the class
 sizes instead of re-sorting them; b-feasibility reads a mask `good` of the
 vertices that can still see k-1 other classes, which is passed down the
 search and narrowed only where an assignment uses up a vertex's slack; and
-nodes are counted in a local that meets the budget only at every 1,024th
-node and past the node budget.  Where that bound does not prune, a second
-one caps the largest class by what any class can still hold, in O(k)
-popcounts (see `_partition`).
+nodes are counted in a local that meets the budget only at a call's first
+node, at every 1,024th node and past the node budget.  Where that bound
+does not prune, a second one caps the largest class by what any class can
+still hold, in O(k) popcounts.  A distinct b-vertex count cuts a node
+where more classes must still take their b-vertex from the unassigned
+vertices of `good` than there are such vertices, since no vertex is the
+b-vertex of two classes (see `_partition`).
 
 A graph that carries a symmetry group (the families carry the dihedral
 group D_n of their rings) is searched once per orbit: a partition whose
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "5"
+SOLVER_VERSION = "6"
 
 # The search each quantity's row is read from.  A *_sum_max row is its
 # *_sum_min search relabelled (`max_twin`); every other quantity is a search.
@@ -125,17 +128,19 @@ class _Tracker:
         self.nodes = 0
 
     def tick(self):
-        """Count one node; raise if the budget is spent."""
+        """Count one node; raise if the budget is spent.  The deadline is
+        read only at every 1,024th node."""
         self.nodes += 1
-        self.check()
+        if self.nodes > self.max_nodes or not self.nodes & 0x3FF:
+            self.check()
 
     def check(self) -> int:
         """Raise if the budget is spent at `nodes`: the count is past
-        max_nodes, or it is a multiple of 1,024 and the deadline has passed.
-        Else return the least count above `nodes` at which it can be spent."""
+        max_nodes or the deadline has passed.  Else return the next count at
+        which to check again: the next multiple of 1,024, or max_nodes+1."""
         if self.nodes > self.max_nodes:
             raise BudgetExhausted("node budget exhausted", self.nodes, self.elapsed_ms())
-        if not (self.nodes & 0x3FF) and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise BudgetExhausted("time budget exhausted", self.nodes, self.elapsed_ms())
         return min((self.nodes | 0x3FF) + 1, self.max_nodes + 1)
 
@@ -269,10 +274,18 @@ def _partition(
     sees[c].  At a leaf nothing is unassigned, so the same test is the
     b-colouring check: w is in good iff it sees all k-1 other classes.
 
+    Distinct b-vertex count: every class needs its own b-vertex, and no
+    vertex dominates two classes.  An opened class that good does not meet,
+    and each of the `need` unopened classes, must take its b-vertex from
+    free = good & unassigned, so the node is cut when those classes
+    outnumber popcount(free): the counting form of Hall's condition, one
+    counter and one popcount in the per-class loop above.
+
     Node count: `search` counts nodes in a local and hands the count to the
-    tracker at its first node and then only at the next count where the
-    budget can run out (a multiple of 1,024, where the deadline is read, or
-    max_nodes+1), so an abort reports the exact node it stopped at;
+    tracker, which reads the deadline, at its first node and then only at
+    the next count where the budget can run out (a multiple of 1,024 or
+    max_nodes+1), so an abort reports the exact node it stopped at, and a
+    call of fewer than 1,024 nodes still reads its deadline once;
     `tracker.nodes` is synced when the search ends or aborts.
 
     Lex-leader cut: `_lex_leader_cut` finds the shortest prefix 0..d-1 that
@@ -295,7 +308,8 @@ def _partition(
     # eligible neighbours of each vertex, whose slack its assignment can lower
     watchers = [[w for w in eligible if adj[v] >> w & 1] for v in range(n)]
     watched = [sum(1 << w for w in ws) for ws in watchers]
-    everyone = (1 << n) - 1
+    # the unassigned vertices v..n-1 at each v
+    tails = [((1 << n) - 1) >> v << v for v in range(n)]
 
     cut, images = _lex_leader_cut(g)
 
@@ -322,10 +336,10 @@ def _partition(
                     break
         return True
 
-    def search(v: int, used: int, weight: int, good: int) -> bool:
+    def search(v: int, used: int, weight: int, top: int, good: int) -> bool:
         """Explore the subtree; True stops the whole search.  `weight` is the
-        min-labelled sum of the sizes so far, `good` the eligible vertices
-        of non-negative slack."""
+        min-labelled sum of the sizes so far, `top` the largest size, `good`
+        the eligible vertices of non-negative slack."""
         nonlocal best_value, best_assign, nodes, alarm
         nodes += 1
         if nodes == alarm:
@@ -354,19 +368,25 @@ def _partition(
                 return False
             # capacity bound: cut if no class can end with more than `limit`
             # vertices, as the greedy largest class then overshoots by enough
-            limit = lb + max(sizes) + spare - best_value
+            limit = lb + top + spare - best_value
             if limit >= (spare + 1 if need else 0):
-                free = everyone >> v << v
+                free = tails[v]
                 for c in range(used):
                     if sizes[c] + (free & ~sees[c]).bit_count() > limit:
                         break
                 else:
                     return False
         if require_b and used:
-            free = good >> v << v
+            free = good & tails[v]
+            # classes that must take their b-vertex from `free`, one each
+            short = need
             for c in range(used):
-                if not (good & masks[c] or free & ~sees[c]):
-                    return False
+                if not good & masks[c]:
+                    if not free & ~sees[c]:
+                        return False
+                    short += 1
+            if short > free.bit_count():
+                return False
         av = adj[v]
         vbit = 1 << v
         watch = watched[v]
@@ -391,7 +411,8 @@ def _partition(
                         slack[w] -= 1
                         if slack[w] < 0:
                             lost |= 1 << w
-            if search(v + 1, used + 1 if c == used else used, weight + rank, good & ~lost):
+            grown = s + 1 if s == top else top
+            if search(v + 1, used + 1 if c == used else used, weight + rank, grown, good & ~lost):
                 return True
             if hit:
                 for w in watchers[v]:
@@ -404,7 +425,7 @@ def _partition(
         return False
 
     try:
-        search(0, 0, 0, sum(1 << w for w in eligible))
+        search(0, 0, 0, 0, sum(1 << w for w in eligible))
     finally:
         tracker.nodes = nodes
     if best_assign is None:

@@ -73,13 +73,15 @@ def exhaustive_labeling_extremum(class_sizes, direction):
 def reference_partition(g, k, tracker, require_b, first=False):
     """The loop version of `solvers._partition`, kept as the reference for the
     incremental one: each node rescans every opened class against every
-    eligible vertex for b-feasibility, sorts and pads the class sizes for the
-    bound, raises it by how far the padded largest class exceeds what any
-    class can still hold (each opened class's size plus the unassigned
-    vertices with no neighbour in it, or one more than the vertices spare
-    for an unopened class), and checks at a leaf that each class has a
-    vertex seeing every other class.  Same pruning decisions, so the same
-    classes and nodes."""
+    eligible vertex for b-feasibility (a class whose b-vertex must still be
+    unassigned needs one with no neighbour in it, and no more classes may
+    need one than there are unassigned vertices that can still see k-1
+    classes), sorts and pads the class sizes for the bound, raises it by
+    how far the padded largest class exceeds what any class can still hold
+    (each opened class's size plus the unassigned vertices with no
+    neighbour in it, or one more than the vertices spare for an unopened
+    class), and checks at a leaf that each class has a vertex seeing every
+    other class.  Same pruning decisions, so the same classes and nodes."""
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
@@ -97,27 +99,21 @@ def reference_partition(g, k, tracker, require_b, first=False):
 
     def b_feasible(v, used):
         un = full ^ ((1 << v) - 1)
+
+        def sees_enough(w):
+            # w sees, or can still see, k-1 classes other than its own
+            aw = adj[w]
+            return sum(1 for c in range(used) if aw & masks[c]) + (aw & un).bit_count() >= k - 1
+
+        spare = [w for w in eligible if 1 << w & un and sees_enough(w)]
+        short = k - used  # classes whose b-vertex must come from spare
         for c in range(used):
-            mc = masks[c]
-            for w in eligible:
-                aw = adj[w]
-                wbit = 1 << w
-                if wbit & mc:
-                    pass
-                elif wbit & un:
-                    if aw & mc:
-                        continue  # w already conflicts with class c
-                else:
-                    continue  # settled in another class
-                hits = 0
-                for c2 in range(used):
-                    if c2 != c and aw & masks[c2]:
-                        hits += 1
-                if hits + (aw & un).bit_count() >= k - 1:
-                    break
-            else:
+            if any(1 << w & masks[c] and sees_enough(w) for w in eligible):
+                continue
+            if all(adj[w] & masks[c] for w in spare):
                 return False
-        return True
+            short += 1
+        return short <= len(spare)
 
     def leaf_is_b():
         for c in range(k):

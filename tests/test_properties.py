@@ -3,7 +3,8 @@ against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, the incremental partition enumerator
 against its loop version, and the min scan against the first-partition
 scan; and on random ring graphs with their dihedral group, the
-enumerator's lex-leader cut against the loop version, which has no cut."""
+enumerator's lex-leader cut against the loop version, which has no cut,
+and phi and the b min sum against the oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +158,13 @@ def test_lex_leader_cut_keeps_partitions(g):
                     tracker = _Tracker(SearchBudget())
                     runs.append(enumerate_partitions(g, k, tracker, require_b, first))
                 assert runs[0] == runs[1], (k, require_b, first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_graphs())
+def test_b_quantities_on_ring_graphs(g):
+    # the distinct b-vertex count and the lex-leader cut together, against
+    # the oracle, which has neither
+    phi = brute_force_oracle(g, "b_chromatic").value
+    assert b_chromatic_number(g).value == phi
+    assert b_sum(g, "min").value == brute_force_oracle(g, "b_sum_min", k=phi).value

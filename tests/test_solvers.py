@@ -9,6 +9,7 @@ from chromasum import solvers
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import make
 from chromasum.graphs import Graph
+from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import (
     QUANTITIES,
     BudgetExhausted,
@@ -203,15 +204,33 @@ class TestBudget:
         with pytest.raises(BudgetExhausted):
             chi_sum(make("double_wheel", 5), "min", budget=SearchBudget(max_nodes=10))
 
+    def test_search_under_1024_nodes_reads_its_deadline(self):
+        # the deadline is read at a search's first node, not only at every
+        # 1,024th, so a small search cannot outrun a spent budget
+        assert b_sum(make("helm", 7), "min").nodes_explored < 1_024
+        with pytest.raises(BudgetExhausted, match="time budget exhausted") as info:
+            b_sum(make("helm", 7), "min", budget=SearchBudget(max_time=0.0))
+        assert info.value.nodes_explored == 1
+
     def test_abort_carries_tracker_millis(self, monkeypatch):
         # a clock one second on per reading: the tracker starts at 0, its
-        # first deadline check at node 1,024 reads 1, and the abort reads 2;
-        # sunlet:10's search takes 10,276 nodes, so it reaches that check
+        # deadline check at the search's first node reads 1, and the abort
+        # reads 2
         clock = iter(range(100))
         monkeypatch.setattr(solvers.time, "monotonic", lambda: next(clock))
         with pytest.raises(BudgetExhausted) as info:
             b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))
-        assert (info.value.nodes_explored, info.value.elapsed_ms) == (1_024, 2_000)
+        assert (info.value.nodes_explored, info.value.elapsed_ms) == (1, 2_000)
+
+    def test_deadline_read_again_at_node_1024(self, monkeypatch):
+        # the same clock under a 1.5 s budget: the first node's check reads
+        # 1, the next check at node 1,024 reads 2, and the abort reads 3;
+        # sunlet:10 is one search of 9,349 nodes at k = m(G) = phi = 4
+        clock = iter(range(100))
+        monkeypatch.setattr(solvers.time, "monotonic", lambda: next(clock))
+        with pytest.raises(BudgetExhausted) as info:
+            b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=1.5))
+        assert (info.value.nodes_explored, info.value.elapsed_ms) == (1_024, 3_000)
 
 
 class TestPickle:
@@ -223,7 +242,7 @@ class TestPickle:
 
     def test_budget_exhausted(self):
         with pytest.raises(BudgetExhausted) as info:
-            b_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=50 - 20 + 1))
+            b_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=41 - 11 + 1))
         back = pickle.loads(pickle.dumps(info.value))
         assert (str(back), back.nodes_explored, back.elapsed_ms) == (
             "node budget exhausted", 32, info.value.elapsed_ms,
@@ -240,10 +259,11 @@ class TestNodeCounts:
     shows here."""
 
     CASES = [
-        (b_sum, "sunlet", 8, 1_944),
-        (b_sum, "web", 6, 4_725),
-        (b_sum, "closed_helm", 8, 3_215),
-        (b_sum, "helm", 8, 3_381),
+        (b_sum, "sunlet", 8, 1_728),
+        (b_sum, "web", 6, 1_650),
+        (b_sum, "closed_helm", 8, 3_209),
+        (b_sum, "helm", 8, 3_375),
+        (b_sum, "web", 7, 16_247),
         (b_sum, "double_wheel", 9, 809),
         (chi_sum, "double_wheel", 9, 824),
     ]
@@ -265,6 +285,23 @@ class TestCapacityBound:
         g = Graph(7, [(0, 2), (0, 3), (1, 3), (1, 5)])
         classes = _partition(g, 3, _Tracker(SearchBudget()), require_b=False, first=False)
         assert classes == [[0], [1], [2, 3, 4, 5, 6]]
+
+
+class TestDistinctBVertexCount:
+    def test_two_classes_cannot_share_their_last_candidate(self):
+        # the 4-cycle 0-1-3-4 with pendants 2 on 0 and 5 on 4, k = 3.  At the
+        # prefix {0, 3}, {1}, {2}, vertex 1 sees only class 0 and has no
+        # unassigned neighbour, and 2 has degree 1, so classes {1} and {2}
+        # both take their b-vertex from 4 and 5.  Only 4 has degree >= 2; it
+        # sees neither class, so each class alone passes, but it can serve
+        # one of them: the count cuts there.  No b-colouring with 3 colours
+        # exists (oracle-confirmed), and the search visits 11 nodes, 15
+        # without the count
+        g = Graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (3, 4), (4, 5)])
+        tracker = _Tracker(SearchBudget())
+        assert _partition(g, 3, tracker, require_b=True, first=True) is None
+        assert tracker.nodes == 11
+        assert brute_force_oracle(g, "b_chromatic").value == 2
 
 
 class TestSolveDispatcher:

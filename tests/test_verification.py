@@ -148,12 +148,12 @@ class TestRunCampaign:
         assert row.witness_path == ""
 
     def test_row_budget_covers_phi_scan(self):
-        # b_sum(helm(5), "min") takes 50 nodes: 20 at k = m(G) = 5, where its
+        # b_sum(helm(5), "min") takes 41 nodes: 11 at k = m(G) = 5, where its
         # phi scan finds no b-colouring, and 30 at phi = 4.  Its search at
         # phi alone fits this budget, so it aborts only because the failed k
         # counts against it; the campaign row must abort too
-        assert solve(make("helm", 5), "b_sum_min").nodes_explored == 50
-        budget = SearchBudget(max_nodes=50 - 20 + 1)
+        assert solve(make("helm", 5), "b_sum_min").nodes_explored == 41
+        budget = SearchBudget(max_nodes=41 - 11 + 1)
         (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget)
         assert row.status == "aborted"
 
@@ -165,7 +165,7 @@ class TestRunCampaign:
         monkeypatch.setattr(
             verification, "b_sum", lambda g, direction, budget=None: calls.append(direction) or real(g, direction, budget)
         )
-        budget = SearchBudget(max_nodes=50 - 20 + 1)
+        budget = SearchBudget(max_nodes=41 - 11 + 1)
         rows = run_campaign(["helm"], 5, 5, ["b_sum_min", "b_sum_max"], budget=budget)
         assert [(r.quantity, r.status, r.nodes_explored) for r in rows] == [
             ("b_sum_min", "aborted", 32),
@@ -187,7 +187,7 @@ class TestRunCampaign:
         # test_row_budget_covers_phi_scan), so an abort crosses the pool too
         cases = [
             ((["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"]), SearchBudget()),
-            ((["helm"], 4, 5, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=50 - 20 + 1)),
+            ((["helm"], 4, 5, ["b_sum_min", "b_sum_max"]), SearchBudget(max_nodes=41 - 11 + 1)),
         ]
         for i, (args, budget) in enumerate(cases):
             serial = run_campaign(*args, budget=budget, out_dir=tmp_path / f"serial{i}")
@@ -425,7 +425,7 @@ class TestCache:
             "helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept},
         }}))
         cache = ResultsCache(path)
-        budget = SearchBudget(max_nodes=50 - 20 + 1)  # helm:5 b_sum_min aborts
+        budget = SearchBudget(max_nodes=41 - 11 + 1)  # helm:5 b_sum_min aborts
         (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget, cache=cache)
         assert row.status == "aborted"
         cache.save()
@@ -550,7 +550,7 @@ def test_desk_cache_holds_searches_only(tmp_path):
 def test_desk_node_total_pinned():
     # a sum row's scan ends with its min search, so no k is searched twice
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
-    assert sum(r.nodes_explored for r in rows) == 16_576
+    assert sum(r.nodes_explored for r in rows) == 14_909
 
 
 def test_import_leaves_process_pool_unloaded():
