@@ -46,7 +46,12 @@ class Coloring:
 
     @classmethod
     def from_json(cls, data: dict) -> "Coloring":
-        return cls(int(data["k"]), [int(c) for c in data["colors"]])
+        """Decode `to_json` output.  k and each colour must be an int (not
+        a bool) and colors a list: nothing is converted."""
+        k, colors = data["k"], data["colors"]
+        if type(colors) is not list or any(type(c) is not int for c in (k, *colors)):
+            raise ValueError("a colouring needs an int k and a list of int colours")
+        return cls(k, colors)
 
 
 def theta(coloring: Coloring) -> tuple[int, ...]:

@@ -42,10 +42,10 @@ def parse_family(spec: str) -> tuple[str, int]:
     kind, sep, num = spec.partition(":")
     if not sep:
         raise ValueError(f"family spec must look like kind:n, got {spec!r}")
-    try:
-        n = int(num)
-    except ValueError:
-        raise ValueError(f"family parameter must be an integer, got {num!r}") from None
+    # int() would also take "1_0", "+7", " 7" and non-ASCII digits
+    if not (num.isascii() and num.isdigit()):
+        raise ValueError(f"family parameter must be an integer, got {num!r}")
+    n = int(num)
     _check(kind, n)
     return kind, n
 

@@ -105,16 +105,6 @@ class SumResult:
             "millis": self.elapsed_ms,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SumResult":
-        return cls(
-            quantity=data["quantity"],
-            value=int(data["value"]),
-            witness=Coloring.from_json(data["witness"]),
-            nodes_explored=int(data["nodes"]),
-            elapsed_ms=int(data["millis"]),
-        )
-
 
 class _Tracker:
     """Shared node/time accounting for one solve call, nested phases included."""

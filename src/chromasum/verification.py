@@ -42,7 +42,7 @@ from .solvers import (
     witness_value,
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # Default largest cycle parameter per family for a desk-scale campaign.
 DESK_CAPS = {"double_wheel": 7, "helm": 7, "closed_helm": 7, "sunlet": 8, "web": 5}
@@ -79,17 +79,17 @@ class VerificationRow:
 class ResultsCache:
     """JSON store of search results keyed by (family, n, search).
 
-    Only searches are stored: a *_sum_max row is read off its *_sum_min
-    entry, so no max entry can pair with a min from another partition.
-    Each entry is checked and decoded once, when the file is loaded.  One
-    recorded under a different solver version, a malformed one, one under a
-    *_sum_max or other key no run asks for, or one that does not match its
-    key (see `_keep`) is dropped then, so it is neither served nor saved
-    again.  A put that does not match its key is dropped the same way, with
-    the entry it would have replaced.  A corrupt file is discarded with a
-    warning and rebuilt.  Whether a witness colours its graph properly is
-    checked by the run that would serve it (`_served`), which builds the
-    graph and discards an entry that fails."""
+    An entry holds only what no check can derive: the witness and the
+    search's node and millisecond counts.  Its quantity is its key's search
+    and its value is what its witness shows (`witness_value`).  Only
+    searches are stored: a *_sum_max row is read off its *_sum_min entry.
+    The file records CACHE_VERSION and SOLVER_VERSION once; a file with
+    either different, or one that is corrupt, is discarded with a warning
+    and rebuilt.  Each entry is checked once, when the file is loaded, and
+    kept only if a run can ask for its key, its witness decodes, and the
+    witness colours the key's graph properly (for a b search, as a
+    b-colouring).  So no entry that fails is served or saved again.  `put`
+    stores the solver's own results as they are."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -101,39 +101,32 @@ class ResultsCache:
             return
         try:
             data = json.loads(self.path.read_text())
-            if data.get("version") != CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {data.get('version')!r}")
+            versions = (data.get("version"), data.get("solver_version"))
+            if versions != (CACHE_VERSION, SOLVER_VERSION):
+                raise ValueError(f"unsupported cache and solver versions {versions!r}")
             entries = data["entries"]
             if not isinstance(entries, dict):
                 raise ValueError("entries must be an object")
         except Exception as exc:  # corrupt cache is recoverable by resolving
             print(f"warning: discarding unreadable cache {self.path}: {exc}", file=sys.stderr)
             return
+        graphs: dict[tuple[str, int], Graph] = {}
         for key, entry in entries.items():
-            if not (isinstance(entry, dict) and entry.get("solver_version") == SOLVER_VERSION):
-                continue
+            spec, _, search = key.rpartition(":")
             try:
-                result = SumResult.from_json(entry["result"])
+                kind, n = families.parse_family(spec)
+                if key != self._key(kind, n, search) or SEARCH_OF.get(search) != search:
+                    continue  # a key no run asks for
+                witness = Coloring.from_json(entry["witness"])
+                counts = entry["nodes"], entry["millis"]
+                if any(type(c) is not int for c in counts):
+                    continue
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
-            self._keep(key, result)
-
-    def _keep(self, key: str, result: SumResult):
-        """Store result under key if a run can ask for the key and result is
-        for its search, colours each vertex of its graph (counted from the
-        ring table; no graph is built) and shows its value; else drop it."""
-        self._entries.pop(key, None)
-        try:
-            kind, n = families.parse_family(key.rpartition(":")[0])
-        except ValueError:
-            return
-        if (
-            key == self._key(kind, n, result.quantity)
-            and SEARCH_OF.get(result.quantity) == result.quantity
-            and len(result.witness.colors) == families.order(kind, n)
-            and result.value == witness_value(result.quantity, result.witness)
-        ):
-            self._entries[key] = result
+            if (kind, n) not in graphs:
+                graphs[kind, n] = _graph(kind, n)
+            if _colours(graphs[kind, n], search, witness):
+                self._entries[key] = SumResult(search, witness_value(search, witness), witness, *counts)
 
     @staticmethod
     def _key(family: str, n: int, quantity: str) -> str:
@@ -143,18 +136,15 @@ class ResultsCache:
         return self._entries.get(self._key(family, n, quantity))
 
     def put(self, family: str, n: int, quantity: str, result: SumResult):
-        self._keep(self._key(family, n, quantity), result)
-
-    def discard(self, family: str, n: int, quantity: str):
-        self._entries.pop(self._key(family, n, quantity), None)
+        self._entries[self._key(family, n, quantity)] = result
 
     def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         entries = {
-            key: {"solver_version": SOLVER_VERSION, "result": result.to_json()}
-            for key, result in self._entries.items()
+            key: {"witness": r.witness.to_json(), "nodes": r.nodes_explored, "millis": r.elapsed_ms}
+            for key, r in self._entries.items()
         }
-        payload = {"version": CACHE_VERSION, "entries": entries}
+        payload = {"version": CACHE_VERSION, "solver_version": SOLVER_VERSION, "entries": entries}
         # A per-process name, so runs that share the cache never write the
         # same temporary file.
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
@@ -195,19 +185,10 @@ def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
     return out
 
 
-def _served(cache: ResultsCache, family: str, n: int, searches) -> dict[str, SumResult]:
-    """The cached results of `searches` whose witness colours family(n)
-    properly and, for a b search, is a b-colouring.  The graph is built once,
-    without its symmetry group, and only if some search is cached.  An entry
-    that fails is dropped from the cache: a miss, whose search runs again."""
-    hits = {s: r for s in searches if (r := cache.get(family, n, s)) is not None}
-    if hits:
-        g = Graph(families.order(family, n), families.edges(family, n))
-        for search, result in list(hits.items()):
-            if not _colours(g, search, result.witness):
-                cache.discard(family, n, search)
-                del hits[search]
-    return hits
+def _graph(family: str, n: int) -> Graph:
+    """family(n) without its symmetry group, which no witness check needs
+    and which is most of the cost of `families.make`."""
+    return Graph(families.order(family, n), families.edges(family, n))
 
 
 def _colours(g: Graph, quantity: str, witness: Coloring) -> bool:
@@ -263,12 +244,15 @@ def run_campaign(
     outcomes: dict[tuple[str, int, str], SumResult | BudgetExhausted] = {}
     group_tasks = []
     for (family, n), wanted in sorted(searches.items()):
-        hits = _served(cache, family, n, wanted) if cache is not None else {}
-        for search, hit in hits.items():
-            outcomes[(family, n, search)] = hit
-        missing = tuple(s for s in wanted if s not in hits)
+        missing = []
+        for search in wanted:
+            hit = cache.get(family, n, search) if cache is not None else None
+            if hit is None:
+                missing.append(search)
+            else:
+                outcomes[(family, n, search)] = hit
         if missing:
-            group_tasks.append((family, n, missing, budget))
+            group_tasks.append((family, n, tuple(missing), budget))
 
     if jobs > 1 and len(group_tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
@@ -404,7 +388,7 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
     except (OSError, KeyError, TypeError, ValueError):
         return False
-    if not _colours(families.make(row.family, row.n), row.quantity, witness):
+    if not _colours(_graph(row.family, row.n), row.quantity, witness):
         return False
     if witness_value(row.quantity, witness) != row.computed:
         return False

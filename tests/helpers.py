@@ -1,6 +1,10 @@
 """Shared independent oracles and generic graphs for the test suite."""
 
+import functools
+
+from chromasum.families import make
 from chromasum.graphs import Graph
+from chromasum.oracle import brute_force_oracle
 
 
 def cycle(n):
@@ -177,3 +181,15 @@ def reference_partition(g, k, tracker, require_b, first=False):
     for v, c in enumerate(best_assign):
         classes[c].append(v)
     return classes
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_value(kind, n, quantity):
+    """The oracle's value on family kind(n), with a sum's k taken from the
+    oracle's own chi or phi of the same graph, so each scan runs once per
+    graph."""
+    g = make(kind, n)
+    if quantity in ("chi", "b_chromatic"):
+        return brute_force_oracle(g, quantity).value
+    k = oracle_value(kind, n, "b_chromatic" if quantity.startswith("b_") else "chi")
+    return brute_force_oracle(g, quantity, k=k).value

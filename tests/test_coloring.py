@@ -29,6 +29,18 @@ class TestColoringType:
         c = Coloring(3, [1, 2, 3, 1])
         assert Coloring.from_json(json.loads(json.dumps(c.to_json()))) == c
 
+    @pytest.mark.parametrize("data", [
+        {"k": "2", "colors": [1, 2, 1]},
+        {"k": 2, "colors": "121"},
+        {"k": 2, "colors": [1.9, 2.9, 1.9]},
+        {"k": 2.0, "colors": [1, 2, 1]},
+        {"k": 2, "colors": [True, 2, True]},
+        {"k": 2, "colors": (1, 2, 1)},
+    ], ids=["string-k", "string-colours", "float-colours", "float-k", "bool-colours", "tuple-colours"])
+    def test_from_json_converts_nothing(self, data):
+        with pytest.raises(ValueError):
+            Coloring.from_json(data)
+
     def test_classes(self):
         c = Coloring(2, [1, 2, 1])
         assert c.classes() == [[0, 2], [1]]

@@ -159,7 +159,11 @@ def test_parse_family():
     assert make(*parse_family("helm:7")).family == ("helm", 7)
 
 
-@pytest.mark.parametrize("bad", ["helm", "helm:x", "gear:4", "helm:2", "web:-1"])
+@pytest.mark.parametrize("bad", [
+    "helm", "helm:x", "gear:4", "helm:2", "web:-1",
+    # int() takes these, but a spec's n is ASCII digits only
+    "helm:1_0", "helm:+7", "helm: 7", "helm:7\n", "helm:\u0667",
+])
 def test_parse_family_rejects(bad):
     with pytest.raises(ValueError):
         parse_family(bad)

@@ -1,7 +1,5 @@
-import functools
-
 import pytest
-from helpers import complete_graph, cycle
+from helpers import complete_graph, cycle, oracle_value
 
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import FAMILY_KINDS, MIN_N, make
@@ -31,17 +29,6 @@ class TestKnownValues:
 
     def test_k_defaults_to_own_scan(self):
         assert brute_force_oracle(make("sunlet", 5), "b_sum_min").value == 16
-
-
-@functools.lru_cache(maxsize=None)
-def oracle_value(kind, n, quantity):
-    """The oracle's value, with a sum's k taken from the oracle's own chi or
-    phi of the same graph, so each scan runs once per graph."""
-    g = make(kind, n)
-    if quantity in ("chi", "b_chromatic"):
-        return brute_force_oracle(g, quantity).value
-    k = oracle_value(kind, n, "b_chromatic" if quantity.startswith("b_") else "chi")
-    return brute_force_oracle(g, quantity, k=k).value
 
 
 class TestAgainstSolver:

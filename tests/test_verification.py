@@ -11,7 +11,8 @@ import pytest
 import chromasum
 from chromasum import families, formulas, verification
 from chromasum.families import MIN_N, make
-from chromasum.solvers import SOLVER_VERSION, SearchBudget, max_twin
+from chromasum.coloring import Coloring
+from chromasum.solvers import SEARCH_OF, SOLVER_VERSION, SearchBudget, SumResult, max_twin, witness_value
 from chromasum.verification import (
     DESK_CAPS,
     ResultsCache,
@@ -111,7 +112,11 @@ class TestRunCampaign:
         {"k": 4, "colors": [1, 2, 3, 4, 5, 1, 2]},  # colour 5 with k=4
         {"k": 4},  # no colours
         [1, 2, 3, 4, 1, 2, 3],  # not an object
-    ], ids=["short", "colour-out-of-range", "no-colours", "not-an-object"])
+        # the solver's witness, [1, 2, 3, 4, 1, 1, 1] with k=4, in other types
+        {"k": "4", "colors": "1234111"},
+        {"k": 4, "colors": [1.9, 2.9, 3.9, 4.9, 1.9, 1.9, 1.9]},
+        {"k": 4, "colors": [True, 2, 3, 4, True, True, True]},
+    ], ids=["short", "colour-out-of-range", "no-colours", "not-an-object", "strings", "floats", "bools"])
     def test_malformed_witness_fails(self, tmp_path, data):
         witness = tmp_path / "witnesses" / "helm-3-b_sum_min.json"
         witness.parent.mkdir()
@@ -119,6 +124,14 @@ class TestRunCampaign:
         row = VerificationRow("helm", 3, "b_sum_min", 14, 13, "mismatch",
                               "witnesses/helm-3-b_sum_min.json", 0, 0)
         assert validate_witness(row, tmp_path) is False
+
+    def test_witness_check_builds_no_group(self, tmp_path, monkeypatch):
+        # propriety needs only the edges; chi and phi are solved once per
+        # graph on the graph with its group
+        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "chi_sum_min"], out_dir=tmp_path)
+        assert all(validate_witness(row, tmp_path) for row in rows)
+        monkeypatch.setattr(families, "make", lambda kind, n: pytest.fail("a witness check built a group"))
+        assert all(validate_witness(row, tmp_path) for row in rows)
 
     @pytest.mark.parametrize("shape", ["missing", "directory"])
     def test_unreadable_witness_fails(self, tmp_path, shape):
@@ -209,25 +222,48 @@ class TestCache:
         assert render_report(cold, "csv") == render_report(warm, "csv")
         assert render_report(cold, "json") == render_report(warm, "json")
 
-    def test_version_mismatch_forces_resolve(self, tmp_path):
+    @staticmethod
+    def _write(path, entries, version=verification.CACHE_VERSION, solver_version=SOLVER_VERSION):
+        path.write_text(json.dumps({"version": version, "solver_version": solver_version, "entries": entries}))
+
+    @staticmethod
+    def _entry(colors, nodes=1):
+        return {"witness": {"k": max(colors), "colors": colors}, "nodes": nodes, "millis": 1}
+
+    @staticmethod
+    def _saved(path):
+        """The saved file's entries, each as the value its witness shows."""
+        data = json.loads(path.read_text())
+        assert (data["version"], data["solver_version"]) == (verification.CACHE_VERSION, SOLVER_VERSION)
+        return {
+            key: witness_value(key.rpartition(":")[2], Coloring.from_json(e["witness"]))
+            for key, e in data["entries"].items()
+        }
+
+    def test_version_mismatch_forces_resolve(self, tmp_path, capsys):
+        # a proper 3-colouring of sunlet:3 of sum 12, where the row's value is 10
         path = tmp_path / "results.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": {"sunlet:3:chi_sum_min": {
-                "solver_version": "stale",
-                "result": {"quantity": "chi_sum_min", "value": 999,
-                           "witness": {"k": 1, "colors": [1] * 6},
-                           "nodes": 1, "millis": 1},
-            }},
-        }))
+        self._write(path, {"sunlet:3:chi_sum_min": self._entry([1, 2, 3, 2, 3, 1])}, solver_version="stale")
         cache = ResultsCache(path)
+        assert capsys.readouterr().err.startswith("warning: discarding unreadable cache")
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
         cache.save()
-        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
-        assert entry["solver_version"] == SOLVER_VERSION
-        assert entry["result"]["value"] == 10
+        assert self._saved(path)["sunlet:3:chi_sum_min"] == 10
+
+    def test_version_1_file_is_discarded_with_warning(self, tmp_path, capsys):
+        # the format before witnesses stood alone: a per-entry solver version
+        # beside the quantity and value the witness shows
+        path = tmp_path / "results.json"
+        result = {"quantity": "chi_sum_min", "value": 10, "nodes": 1, "millis": 1,
+                  "witness": {"k": 2, "colors": [1, 2, 1, 2, 1, 2]}}
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "sunlet:3:chi_sum_min": {"solver_version": SOLVER_VERSION, "result": result},
+        }}))
+        cache = ResultsCache(path)
+        assert capsys.readouterr().err.startswith("warning: discarding unreadable cache")
+        assert cache.get("sunlet", 3, "chi_sum_min") is None
 
     def test_corrupt_cache_rebuilt_with_warning(self, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -240,79 +276,78 @@ class TestCache:
 
     def test_malformed_entry_is_a_miss(self, tmp_path):
         path = tmp_path / "results.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": {"sunlet:3:chi_sum_min": {
-                "solver_version": SOLVER_VERSION,
-                "result": {"value": "not-even-close"},
-            }},
-        }))
+        self._write(path, {"sunlet:3:chi_sum_min": {"nodes": "not-even-close"}})
         cache = ResultsCache(path)
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
 
-    @staticmethod
-    def _write_entry(path, quantity, value, witness):
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": {"sunlet:3:chi_sum_min": {
-                "solver_version": SOLVER_VERSION,
-                "result": {"quantity": quantity, "value": value, "witness": witness,
-                           "nodes": 1, "millis": 1},
-            }},
-        }))
-
-    def test_entry_for_another_quantity_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", 1), ("nodes", "1"), ("millis", True), ("nodes", 1.0), ("witness", {"k": 3.0, "colors": [1, 2, 3, 2, 3, 1]}),
+    ], ids=["ints", "string-nodes", "bool-millis", "float-nodes", "float-k"])
+    def test_entry_fields_must_be_ints(self, tmp_path, field, value):
+        # a proper 3-colouring of sunlet:3, served only when every field is an int
         path = tmp_path / "results.json"
-        self._write_entry(path, "b_sum_min", 999, {"k": 1, "colors": [1] * 6})
-        cache = ResultsCache(path)
-        assert cache.get("sunlet", 3, "chi_sum_min") is None
-        rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
-        assert (rows[0].computed, rows[0].status) == (10, "mismatch")
-        cache.save()
-        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
-        assert entry["result"]["quantity"] == "chi_sum_min"
-        assert entry["result"]["value"] == 10
+        self._write(path, {"sunlet:3:chi_sum_min": {**self._entry([1, 2, 3, 2, 3, 1]), field: value}})
+        served = ResultsCache(path).get("sunlet", 3, "chi_sum_min")
+        assert (served is not None) == (type(value) is int)
 
     def test_value_its_witness_lacks_is_a_miss(self, tmp_path):
+        # the all-1 witness of sunlet:3 would show the sum 6, but it is not a
+        # proper colouring, so the run solves the row again and the save
+        # replaces the entry
         path = tmp_path / "results.json"
-        # a sum row whose witness sums to 6, not 999
-        self._write_entry(path, "chi_sum_min", 999, {"k": 1, "colors": [1] * 6})
-        assert ResultsCache(path).get("sunlet", 3, "chi_sum_min") is None
-        # the same witness with its own sum is not a proper colouring, so the
-        # run that would serve it solves the row again, and the save replaces it
-        self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
+        self._write(path, {"sunlet:3:chi_sum_min": self._entry([1] * 6)})
         cache = ResultsCache(path)
+        assert cache.get("sunlet", 3, "chi_sum_min") is None
         (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert (row.computed, row.status) == (10, "mismatch")
         cache.save()
-        assert json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]["result"]["value"] == 10
+        assert self._saved(path)["sunlet:3:chi_sum_min"] == 10
 
     def test_b_search_witness_must_be_a_b_colouring(self, tmp_path):
-        # a proper 5-colouring of helm:3 showing its own sum 17; colour 5 is
-        # one pendant vertex, which sees one colour, so it is no b-colouring
+        # a proper 5-colouring of helm:3 showing the sum 17; colour 5 is one
+        # pendant vertex, which sees one colour, so it is no b-colouring
         path = tmp_path / "results.json"
-        witness = {"k": 5, "colors": [1, 2, 3, 4, 5, 1, 1]}
-        result = {"quantity": "b_sum_min", "value": 17, "witness": witness, "nodes": 1, "millis": 1}
-        path.write_text(json.dumps({"version": 1, "entries": {
-            "helm:3:b_sum_min": {"solver_version": SOLVER_VERSION, "result": result},
-        }}))
+        self._write(path, {"helm:3:b_sum_min": self._entry([1, 2, 3, 4, 5, 1, 1])})
         cache = ResultsCache(path)
-        assert cache.get("helm", 3, "b_sum_min").value == 17
+        assert cache.get("helm", 3, "b_sum_min") is None
         (row,) = run_campaign(["helm"], 3, 3, ["b_sum_min"], out_dir=tmp_path, cache=cache)
         assert (row.computed, validate_witness(row, tmp_path)) == (13, True)
 
     def test_improper_entry_is_dropped_when_its_row_aborts(self, tmp_path):
-        # no put replaces the entry of an aborted row, so the failed check
+        # no put replaces the entry of an aborted row, so the load's check
         # itself must drop it
         path = tmp_path / "results.json"
-        self._write_entry(path, "chi_sum_min", 6, {"k": 1, "colors": [1] * 6})
+        self._write(path, {"sunlet:3:chi_sum_min": self._entry([1] * 6)})
         cache = ResultsCache(path)
         (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], budget=SearchBudget(max_nodes=1), cache=cache)
         assert row.status == "aborted"
         cache.save()
         assert json.loads(path.read_text())["entries"] == {}
+
+    @staticmethod
+    def _save_all_ones(path, family, n):
+        """Save an all-1 "colouring" of family(n) under each of its searches,
+        showing the value it would claim: k = 1 or its own sum."""
+        cache = ResultsCache(path)
+        witness = Coloring(1, [1] * families.order(family, n))
+        for search in set(SEARCH_OF.values()):
+            cache.put(family, n, search, SumResult(search, witness_value(search, witness), witness, 1, 1))
+        cache.save()
+
+    def test_get_never_serves_an_improper_entry(self, tmp_path):
+        path = tmp_path / "results.json"
+        self._save_all_ones(path, "sunlet", 9)
+        cache = ResultsCache(path)
+        assert [cache.get("sunlet", 9, s) for s in SEARCH_OF] == [None] * len(SEARCH_OF)
+
+    def test_improper_entry_outside_the_run_is_not_saved(self, tmp_path):
+        path = tmp_path / "results.json"
+        self._save_all_ones(path, "sunlet", 9)
+        cache = ResultsCache(path)
+        run_campaign(["helm"], 3, 3, ["b_sum_min"], cache=cache)
+        assert list(json.loads(path.read_text())["entries"]) == ["helm:3:b_sum_min"]
 
     def test_max_row_is_its_cached_min_relabelled(self, tmp_path):
         # a proper colouring of sunlet:4 from another partition than the
@@ -320,12 +355,10 @@ class TestCache:
         # pair it with the min, but the max row is read off the min alone
         path = tmp_path / "results.json"
         minimum = solve(make("sunlet", 4), "b_sum_min")
-        foreign = {"quantity": "b_sum_max", "value": 24,
-                   "witness": {"k": 4, "colors": [3, 4, 3, 4, 1, 2, 4, 3]}, "nodes": 1, "millis": 1}
-        path.write_text(json.dumps({"version": 1, "entries": {
-            "sunlet:4:b_sum_min": {"solver_version": SOLVER_VERSION, "result": minimum.to_json()},
-            "sunlet:4:b_sum_max": {"solver_version": SOLVER_VERSION, "result": foreign},
-        }}))
+        self._write(path, {
+            "sunlet:4:b_sum_min": self._entry(list(minimum.witness.colors), minimum.nodes_explored),
+            "sunlet:4:b_sum_max": self._entry([3, 4, 3, 4, 1, 2, 4, 3]),
+        })
         cache = ResultsCache(path)
         assert cache.get("sunlet", 4, "b_sum_max") is None
         (row,) = run_campaign(["sunlet"], 4, 4, ["b_sum_max"], out_dir=tmp_path, cache=cache)
@@ -361,76 +394,56 @@ class TestCache:
     def test_witness_of_another_graph_is_a_miss(self, tmp_path):
         # the sum of [1, 1, 1, 2] is 5, but sunlet:3 has 6 vertices, not 4
         path = tmp_path / "results.json"
-        self._write_entry(path, "chi_sum_min", 5, {"k": 2, "colors": [1, 1, 1, 2]})
+        self._write(path, {"sunlet:3:chi_sum_min": self._entry([1, 1, 1, 2])})
         cache = ResultsCache(path)
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], out_dir=tmp_path, cache=cache)
         assert (row.computed, validate_witness(row, tmp_path)) == (10, True)
 
     def test_keys_no_run_asks_for_are_dropped(self, tmp_path):
-        def entry(quantity, colors):
-            result = {"quantity": quantity, "value": max(colors), "witness": {"k": max(colors), "colors": colors},
-                      "nodes": 1, "millis": 1}
-            return {"solver_version": SOLVER_VERSION, "result": result}
-
-        kept = {"helm:3:chi": entry("chi", [1, 2, 3, 4, 1, 1, 1])}
+        kept = {"helm:3:chi": self._entry([1, 2, 3, 4, 1, 1, 1])}
         path = tmp_path / "results.json"
-        path.write_text(json.dumps({"version": 1, "entries": {
+        self._write(path, {
             **kept,
-            "sunlet:3:sparkle": entry("sparkle", [1, 2, 1, 2, 1, 2]),  # unknown quantity
-            "gear:3:chi": entry("chi", [1, 2, 1, 2, 1, 2]),  # unknown family
-            "sunlet:2:chi": entry("chi", [1, 2, 1, 2]),  # n below MIN_N
-            "helm:03:chi": entry("chi", [1, 2, 3, 4, 1, 1, 1]),  # get asks for helm:3:chi
-        }}))
+            "sunlet:3:sparkle": self._entry([1, 2, 3, 2, 3, 1]),  # unknown quantity
+            "gear:3:chi": self._entry([1, 2, 1, 2, 1, 2]),  # unknown family
+            "sunlet:2:chi": self._entry([1, 2, 1, 2]),  # n below MIN_N
+            "helm:03:chi": self._entry([1, 2, 3, 4, 1, 1, 1]),  # get asks for helm:3:chi
+            "helm:3": self._entry([1, 2, 3, 4, 1, 1, 1]),  # no search
+        })
         cache = ResultsCache(path)
         cache.save()
         assert json.loads(path.read_text())["entries"] == kept
 
-    def test_number_row_value_must_be_its_witness_k(self, tmp_path):
-        cache = ResultsCache(tmp_path / "c.json")
-        result = solve(make("helm", 3), "chi")
-        cache.put("helm", 3, "chi", dataclasses.replace(result, value=result.value + 1))
-        assert cache.get("helm", 3, "chi") is None
-        cache.put("helm", 3, "chi", result)
-        assert cache.get("helm", 3, "chi") == result
-
     def test_non_object_entry_is_a_miss_and_replaced(self, tmp_path):
         path = tmp_path / "results.json"
-        path.write_text(json.dumps({"version": 1, "entries": {"sunlet:3:chi_sum_min": [1, 2]}}))
+        self._write(path, {"sunlet:3:chi_sum_min": [1, 2]})
         cache = ResultsCache(path)
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
         cache.save()
-        entry = json.loads(path.read_text())["entries"]["sunlet:3:chi_sum_min"]
-        assert entry["solver_version"] == SOLVER_VERSION
-        assert entry["result"]["value"] == 10
+        assert self._saved(path)["sunlet:3:chi_sum_min"] == 10
 
     def test_save_drops_entries_it_would_not_serve(self, tmp_path):
         # entries outside the run's grid, or for a row that aborted, are
         # never replaced by a put, so a stale one must not be saved again
-        def result(quantity, value, colors):
-            return {"quantity": quantity, "value": value, "witness": {"k": 1, "colors": colors},
-                    "nodes": 1, "millis": 1}
-
-        kept = solve(make("helm", 3), "chi").to_json()
+        chi = solve(make("helm", 3), "chi")
+        kept = self._entry(list(chi.witness.colors), chi.nodes_explored)
         path = tmp_path / "results.json"
-        path.write_text(json.dumps({"version": 1, "entries": {
-            "sunlet:9:chi_sum_min": {"solver_version": "1",
-                                     "result": result("chi_sum_min", 18, [1] * 18)},
-            "sunlet:9:chi_sum_max": {"solver_version": SOLVER_VERSION,
-                                     "result": result("chi_sum_min", 18, [1] * 18)},
-            "sunlet:9:b_sum_min": {"solver_version": SOLVER_VERSION,
-                                   "result": result("b_sum_min", 999, [1] * 18)},
+        self._write(path, {
+            "sunlet:9:chi_sum_min": self._entry([1] * 18),
+            "sunlet:9:chi_sum_max": self._entry([1, 2] * 9),
+            "sunlet:9:b_sum_min": self._entry([1] * 18),
             "helm:5:b_sum_min": "garbage",
-            "helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept},
-        }}))
+            "helm:3:chi": kept,
+        })
         cache = ResultsCache(path)
         budget = SearchBudget(max_nodes=41 - 11 + 1)  # helm:5 b_sum_min aborts
         (row,) = run_campaign(["helm"], 5, 5, ["b_sum_min"], budget=budget, cache=cache)
         assert row.status == "aborted"
         cache.save()
         entries = json.loads(path.read_text())["entries"]
-        assert entries == {"helm:3:chi": {"solver_version": SOLVER_VERSION, "result": kept}}
+        assert entries == {"helm:3:chi": kept}
 
     def test_save_leaves_foreign_temp_file(self, tmp_path):
         # another run sharing the cache directory may be mid-save
