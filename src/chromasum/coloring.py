@@ -65,18 +65,17 @@ def coloring_sum(coloring: Coloring) -> int:
     return sum(i * t for i, t in enumerate(theta(coloring), start=1))
 
 
-def optimal_labeling(partition: Iterable[Iterable[int]], direction: str, n: int | None = None) -> Coloring:
+def optimal_labeling(partition: Iterable[Iterable[int]], direction: str) -> Coloring:
     """Assign colour indices 1..k to the classes of an unlabeled partition so
     the colouring sum is extremal: for min, class sizes are nonincreasing in
     colour index; for max, nondecreasing.  Ties break on the smallest vertex
     id contained in the class, so the labeling is deterministic.  The
-    classes must be nonempty, disjoint and cover 0..n-1; n defaults to the
-    number of vertices they hold."""
+    classes must be nonempty, disjoint and cover 0..n-1, with n the number
+    of vertices they hold."""
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     classes = [frozenset(c) for c in partition]
-    if n is None:
-        n = sum(len(c) for c in classes)
+    n = sum(len(c) for c in classes)
     seen: set[int] = set()
     for c in classes:
         if not c:

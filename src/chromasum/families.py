@@ -6,10 +6,10 @@ joins some rings by spokes; a rung pair (a, b) joins vertex i of ring a to
 vertex i of ring b.  Vertex ids are deterministic -- hub 0 if present,
 then vertex i of ring r is hub + r*n + i -- so solver witnesses are
 reproducible and comparable between runs.  Each generated graph carries
-its family tag and its dihedral group D_n: the rotations and reflections
-of the ring index, applied to every ring at once, with the hub fixed.
-They are automorphisms of every row, because spokes join whole rings and
-rungs pair equal ring indices.
+its family tag and that layout, (hub, n), whose symmetry is the dihedral
+group D_n: the rotations and reflections of the ring index, applied to
+every ring at once, with the hub fixed.  They are automorphisms of every
+row, because spokes join whole rings and rungs pair equal ring indices.
 """
 
 from __future__ import annotations
@@ -58,38 +58,18 @@ def order(kind: str, n: int) -> int:
     return (1 if spokes else 0) + rings * n
 
 
-def _at(kind: str, n: int):
-    """at(ring, i): the id of vertex i (mod n) of ring `ring` of kind(n)."""
-    hub = 1 if RINGS[kind][2] else 0
-    return lambda ring, i: hub + ring * n + i % n
-
-
-def edges(kind: str, n: int) -> list[tuple[int, int]]:
-    """The edges of family `kind` with rings of n vertices: the hub's
-    spokes, the cycles and the rungs.  With `order(kind, n)` vertices they
-    make the graph of `make` without its dihedral group, whose building and
-    checking is most of make's cost."""
-    _check(kind, n)
-    rings, pendants, spokes, rungs = RINGS[kind]
-    at = _at(kind, n)
-    cycles = [r for r in range(rings) if r not in pendants]
-    out = [(0, at(r, i)) for r in spokes for i in range(n)]
-    out += [(at(r, i), at(r, i + 1)) for r in cycles for i in range(n)]
-    out += [(at(a, i), at(b, i)) for a, b in rungs for i in range(n)]
-    return out
-
-
 def make(kind: str, n: int) -> Graph:
-    """The graph of family `kind` with rings of n vertices, carrying its
-    dihedral group."""
+    """The graph of family `kind` with rings of n vertices: the hub's
+    spokes, the cycles and the rungs, carrying its ring layout."""
     size = order(kind, n)
-    rings, _, spokes, _ = RINGS[kind]
+    rings, pendants, spokes, rungs = RINGS[kind]
     hub = 1 if spokes else 0
-    at = _at(kind, n)
-    # i -> s + i (rotations) and i -> s - i (reflections), identity first
-    dihedral = tuple(
-        tuple(range(hub)) + tuple(at(r, s + sign * i) for r in range(rings) for i in range(n))
-        for s in range(n)
-        for sign in (1, -1)
-    )
-    return Graph(size, edges(kind, n), family=(kind, n), automorphisms=dihedral)
+
+    def at(ring: int, i: int) -> int:
+        return hub + ring * n + i % n
+
+    cycles = [r for r in range(rings) if r not in pendants]
+    edges = [(0, at(r, i)) for r in spokes for i in range(n)]
+    edges += [(at(r, i), at(r, i + 1)) for r in cycles for i in range(n)]
+    edges += [(at(a, i), at(b, i)) for a, b in rungs for i in range(n)]
+    return Graph(size, edges, family=(kind, n), rings=(hub, n))

@@ -1,4 +1,5 @@
-"""Immutable simple undirected graphs with bitset adjacency, and the
+"""Immutable simple undirected graphs with bitset adjacency and an optional
+checked ring layout, whose dihedral symmetry the solvers cut by, and the
 edge-list and DOT output formats.
 
 Vertices are dense integers 0..n-1.  Nothing mutates after construction,
@@ -15,21 +16,24 @@ class Graph:
 
     `adj[v]` is an int bitmask of the neighbours of v.  `family` optionally
     records (family kind, cycle parameter) for generated graphs; `repr` and
-    the DOT graph name show it.  `automorphisms` is a group of vertex
-    permutations, the identity included, each mapping the edge set onto
-    itself: p maps vertex v to p[v].  It is empty when no symmetry is
-    known.  Each element is checked to be a permutation of 0..n-1 that
-    preserves the edges.
+    the DOT graph name show it.  `rings` optionally records a ring layout
+    (hub, m): vertices 0..hub-1 are fixed, and the rest form whole rings of
+    m vertices, vertex i of ring r being hub + r*m + i.  Its symmetry is the
+    dihedral group D_m of the ring index, applied to every ring at once with
+    the hub fixed.  The layout is checked to tile hub..n-1, and the two
+    generators of D_m, i -> i+1 and i -> -i (mod m), to map the edges onto
+    themselves, so every element of the group is an automorphism.  It is
+    None when no symmetry is known.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "automorphisms")
+    __slots__ = ("n", "edges", "adj", "family", "rings")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
         family: tuple[str, int] | None = None,
-        automorphisms: tuple[tuple[int, ...], ...] = (),
+        rings: tuple[int, int] | None = None,
     ):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -47,17 +51,25 @@ class Graph:
             seen.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        identity = list(range(n))
-        for p in automorphisms:
-            if sorted(p) != identity:
-                raise ValueError(f"automorphism {p} is not a permutation of 0..{n - 1}")
-            if {(p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in seen} != seen:
-                raise ValueError(f"automorphism {p} does not map the edges onto themselves")
+        if rings is not None:
+            hub, m = rings
+            if not (hub >= 0 and m >= 1 and n - hub >= m and (n - hub) % m == 0):
+                raise ValueError(f"rings {rings} do not tile vertices {hub}..{n - 1} with whole rings")
+            # the generators of D_m on every ring at once, the hub fixed
+            rotate, reflect = [*range(hub)], [*range(hub)]
+            for base in range(hub, n, m):
+                rotate += (*range(base + 1, base + m), base)
+                reflect += (base, *range(base + m - 1, base, -1))
+            for name, p in (("i+1", rotate), ("-i", reflect)):
+                # p is a bijection: it maps the edges onto themselves iff it
+                # maps every edge to an edge
+                if not all(adj[p[u]] >> p[v] & 1 for u, v in seen):
+                    raise ValueError(f"rings {rings}: i -> {name} does not map the edges onto themselves")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "automorphisms", automorphisms)
+        object.__setattr__(self, "rings", rings)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

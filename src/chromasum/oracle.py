@@ -34,7 +34,7 @@ def brute_force_oracle(
 
     if quantity in ("chi", "b_chromatic"):
         value, classes = _scan(g, tracker, quantity == "b_chromatic")
-        witness = optimal_labeling(classes, "min", n=g.n)
+        witness = optimal_labeling(classes, "min")
         return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
     need_b = quantity.startswith("b_sum")
@@ -42,7 +42,7 @@ def brute_force_oracle(
     if k is None:
         k = _scan(g, tracker, need_b)[0]
     value, classes = _extremal(g, k, direction, need_b, tracker)
-    witness = optimal_labeling(classes, direction, n=g.n)
+    witness = optimal_labeling(classes, direction)
     return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
 

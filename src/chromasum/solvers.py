@@ -23,11 +23,11 @@ where more classes must still take their b-vertex from the unassigned
 vertices of `good` than there are such vertices, since no vertex is the
 b-vertex of two classes (see `_partition`).
 
-A graph that carries a symmetry group (the families carry the dihedral
-group D_n of their rings) is searched once per orbit: a partition whose
-restricted-growth string is not lex-least among its images under the group
-is cut (lex-leader symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR
-1996).  Every image of a partition has the same class sizes and the same
+A graph that carries a ring layout (every family does) is searched once
+per orbit of its dihedral group D_n: a partition whose restricted-growth
+string is not lex-least among its images under the group is cut
+(lex-leader symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).
+Every image of a partition has the same class sizes and the same
 b-property, so the lexicographically first partition of least value, or
 the first found by a scan, is the lex-leader of its orbit and is never
 cut: values and witnesses are those of the search without the cut.
@@ -50,6 +50,7 @@ exhausting either raises, it never degrades to a wrong answer.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -76,6 +77,11 @@ QUANTITIES = tuple(SEARCH_OF)
 class SearchBudget:
     max_nodes: int = 100_000_000
     max_time: float = 300.0
+
+    def __post_init__(self):
+        # a NaN deadline is never passed, so the search would run unbounded
+        if math.isnan(self.max_time):
+            raise ValueError("time budget must be a number, got nan")
 
 
 class BudgetExhausted(Exception):
@@ -177,7 +183,7 @@ def witness_value(quantity: str, witness: Coloring) -> int:
 def max_twin(result: SumResult) -> SumResult:
     """The *_sum_max result of the *_sum_min `result`: the same classes with
     the max labelling, and the same nodes and millis."""
-    witness = optimal_labeling(result.witness.classes(), "max", n=len(result.witness.colors))
+    witness = optimal_labeling(result.witness.classes(), "max")
     quantity = result.quantity.removesuffix("_min") + "_max"
     return SumResult(quantity, witness_value(quantity, witness), witness, result.nodes_explored, result.elapsed_ms)
 
@@ -191,7 +197,7 @@ def _solve(g: Graph, quantity: str, budget: SearchBudget | None) -> SumResult:
     tracker = _Tracker(budget or SearchBudget())
     first = search in ("chi", "b_chromatic")
     classes = _scan(g, tracker, require_b=search.startswith("b_"), first=first)
-    witness = optimal_labeling(classes, "min", n=g.n)
+    witness = optimal_labeling(classes, "min")
     result = SumResult(search, witness_value(search, witness), witness, tracker.nodes, tracker.elapsed_ms())
     return result if search == quantity else max_twin(result)
 
@@ -278,12 +284,12 @@ def _partition(
     call of fewer than 1,024 nodes still reads its deadline once;
     `tracker.nodes` is synced when the search ends or aborts.
 
-    Lex-leader cut: `_lex_leader_cut` finds the shortest prefix 0..d-1 that
-    every automorphism of g maps onto itself (for a family: the hub and
-    ring 0).  Once at depth d, for each automorphism p other than the
-    identity, the image prefix assign[p[j]], j < d, is renumbered by first
-    appearance; if it is lex-smaller than assign[:d], no completion of this
-    prefix is lex-least in its orbit, and the subtree is cut.
+    Lex-leader cut: the prefix 0..d-1 of the hub and ring 0 is mapped onto
+    itself by every element p of g's ring symmetry (`_lex_leader_cut`).
+    Once at depth d, for each p other than the identity, the image prefix
+    assign[p[j]], j < d, is renumbered by first appearance; if it is
+    lex-smaller than assign[:d], no completion of this prefix is lex-least
+    in its orbit, and the subtree is cut.
     """
     n, adj = g.n, g.adj
     masks = [0] * k
@@ -309,7 +315,7 @@ def _partition(
     alarm = nodes + 1
 
     def lex_leader() -> bool:
-        """False if some automorphism maps assign[:cut] onto a lex-smaller
+        """False if some symmetry maps assign[:cut] onto a lex-smaller
         restricted-growth string: its classes renumbered by first appearance."""
         for image in images:
             relabel = [-1] * k
@@ -427,16 +433,13 @@ def _partition(
 
 
 def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """Depth d of the lex-leader check and the distinct restrictions to
-    0..d-1 of g's automorphisms other than the identity: d is the shortest
-    prefix that every automorphism maps onto itself and some automorphism
-    moves.  (-1, []) when there is no such prefix, and no cut."""
-    top = -1
-    moved = False
-    for d, column in enumerate(zip(*g.automorphisms), start=1):
-        top = max(top, *column)
-        moved = moved or set(column) != {d - 1}
-        if moved and top == d - 1:
-            identity = tuple(range(d))
-            return d, sorted({p[:d] for p in g.automorphisms} - {identity})
-    return -1, []
+    """Depth d of the lex-leader check, the hub and ring 0 of g's ring
+    layout (hub, m), and the distinct restrictions to 0..d-1 of its
+    symmetries i -> s + i and i -> s - i (mod m) other than the identity.
+    (-1, []) for a graph without a ring layout, and no cut."""
+    if g.rings is None:
+        return -1, []
+    hub, m = g.rings
+    d = hub + m
+    images = {(*range(hub), *(hub + (s + sign * i) % m for i in range(m))) for s in range(m) for sign in (1, -1)}
+    return d, sorted(images - {tuple(range(d))})

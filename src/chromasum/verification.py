@@ -57,7 +57,7 @@ class VerificationRow:
     quantity: str
     predicted: int
     computed: int | None
-    status: str  # match | mismatch | aborted | not-in-paper
+    status: str  # match | mismatch | aborted
     witness_path: str
     nodes_explored: int
     elapsed_ms: int
@@ -124,7 +124,7 @@ class ResultsCache:
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
             if (kind, n) not in graphs:
-                graphs[kind, n] = _graph(kind, n)
+                graphs[kind, n] = families.make(kind, n)
             if _colours(graphs[kind, n], search, witness):
                 self._entries[key] = SumResult(search, witness_value(search, witness), witness, *counts)
 
@@ -183,12 +183,6 @@ def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
         except BudgetExhausted as exc:
             out[search] = exc
     return out
-
-
-def _graph(family: str, n: int) -> Graph:
-    """family(n) without its symmetry group, which no witness check needs
-    and which is most of the cost of `families.make`."""
-    return Graph(families.order(family, n), families.edges(family, n))
 
 
 def _colours(g: Graph, quantity: str, witness: Coloring) -> bool:
@@ -388,7 +382,7 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
     except (OSError, KeyError, TypeError, ValueError):
         return False
-    if not _colours(_graph(row.family, row.n), row.quantity, witness):
+    if not _colours(families.make(row.family, row.n), row.quantity, witness):
         return False
     if witness_value(row.quantity, witness) != row.computed:
         return False

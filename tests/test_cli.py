@@ -71,6 +71,11 @@ class TestSolve:
         assert code == 2
         assert "nodes" in capsys.readouterr().err
 
+    def test_nan_time_budget_rejected(self, capsys):
+        # a NaN deadline is never passed, so the search would run unbounded
+        assert main(["solve", "helm:3", "--quantity", "b_sum_min", "--budget-secs", "nan"]) == 1
+        assert "nan" in capsys.readouterr().err
+
     def test_unknown_quantity_rejected(self, capsys):
         assert main(["solve", "helm:3", "--quantity", "sparkle"]) == 1
 

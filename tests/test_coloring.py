@@ -50,21 +50,19 @@ class TestPartitionType:
     """optimal_labeling accepts only a partition of 0..n-1 into nonempty classes."""
 
     def test_valid(self):
-        assert optimal_labeling([{0, 1}, {2}], "min", n=3).k == 2
+        assert optimal_labeling([{0, 1}, {2}], "min").k == 2
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            optimal_labeling([{0, 1}, {1, 2}], "min", n=3)
+            optimal_labeling([{0, 1}, {1, 2}], "min")
 
     def test_rejects_gap(self):
-        with pytest.raises(ValueError, match="cover"):
-            optimal_labeling([{0}, {2}], "min", n=3)
         with pytest.raises(ValueError, match="cover"):
             optimal_labeling([{0}, {2}], "min")
 
     def test_rejects_empty_class(self):
         with pytest.raises(ValueError, match="empty"):
-            optimal_labeling([{0, 1, 2}, set()], "min", n=3)
+            optimal_labeling([{0, 1, 2}, set()], "min")
 
 
 class TestSums:

@@ -60,20 +60,25 @@ def test_roles_round_trip(kind, n):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("n", range(3, 13))
 def test_dihedral_group_is_automorphisms(kind, n):
-    # the solver's lex-leader cut is sound only if every element maps the
-    # graph onto itself
+    # the solver's lex-leader cut is sound only if every element of the
+    # layout's group maps the graph onto itself; Graph checks only the two
+    # generators, so the whole group is enumerated here: i -> s + i and
+    # i -> s - i (mod n) on every ring, the hub fixed
     g = make(kind, n)
     hub, blocks = ring_blocks(kind, n)
-    group = set(g.automorphisms)
-    assert len(group) == len(g.automorphisms) == 2 * n
+    assert g.rings == (hub, n)
+    group = {
+        tuple(range(hub)) + tuple(ids[(s + sign * i) % n] for ids, _ in blocks for i in range(n))
+        for s in range(n)
+        for sign in (1, -1)
+    }
+    assert len(group) == 2 * n
     assert tuple(range(g.n)) in group
     edges = set(g.edges)
-    for p in g.automorphisms:
+    for p in group:
         assert sorted(p) == list(range(g.n))
         assert {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == edges
-        assert all(p[v] == v for v in range(hub))
-        assert all({p[v] for v in ids} == set(ids) for ids, _ in blocks)
-        assert all(tuple(p[q[v]] for v in range(g.n)) in group for q in g.automorphisms)
+        assert all(tuple(p[q[v]] for v in range(g.n)) in group for q in group)
 
 
 def test_spot_shapes():

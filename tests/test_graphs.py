@@ -27,19 +27,35 @@ class TestConstruction:
             g.n = 5
 
     def test_rejects_non_automorphism(self):
-        # swapping 1 and 2 does not preserve these edges; the search cut with
-        # it found chi_sum min 13 where the oracle finds 12
+        # rotating the rings of (2, 3) does not preserve these edges; the
+        # search cut by that layout found chi_sum min 13 where the oracle
+        # finds 12
         edges = [(0, 1), (0, 3), (0, 7), (1, 5), (2, 6), (3, 4), (4, 6), (4, 7)]
-        swap = (0, 2, 1, 3, 4, 5, 6, 7)
         with pytest.raises(ValueError, match="edges"):
-            Graph(8, edges, automorphisms=(tuple(range(8)), swap))
+            Graph(8, edges, rings=(2, 3))
         g = Graph(8, edges)
+        assert g.rings is None
         assert chi_sum(g, "min").value == brute_force_oracle(g, "chi_sum_min").value == 12
+        # a path is not a ring: i -> i+1 moves its edge (2, 3) to (3, 0)
+        with pytest.raises(ValueError, match=r"i -> i\+1 does not map the edges"):
+            Graph(4, [(0, 1), (1, 2), (2, 3)], rings=(0, 4))
 
-    @pytest.mark.parametrize("p", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)])
-    def test_rejects_non_permutation(self, p):
-        with pytest.raises(ValueError, match="permutation"):
-            Graph(3, [(0, 1)], automorphisms=(tuple(range(3)), p))
+    def test_checks_the_reflection(self):
+        # edges (i, 4 + (i+1) % 4) between two 4-rings: i -> i+1 keeps them,
+        # i -> -i maps (0, 5) to (0, 7), which is not an edge
+        twist = [(i, 4 + (i + 1) % 4) for i in range(4)]
+        with pytest.raises(ValueError, match="i -> -i does not map the edges"):
+            Graph(8, twist, rings=(0, 4))
+
+    @pytest.mark.parametrize("n, rings", [(4, (0, 3)), (7, (1, 4)), (4, (4, 4)), (4, (5, 1)), (4, (-1, 5)), (4, (0, 0))])
+    def test_rejects_layout_that_does_not_tile(self, n, rings):
+        with pytest.raises(ValueError, match="tile"):
+            Graph(n, [], rings=rings)
+
+    def test_keeps_ring_layout(self):
+        g = Graph(7, [(0, v) for v in range(1, 7)] + [(v, v + 3) for v in range(1, 4)], rings=(1, 3))
+        assert g.rings == (1, 3)
+        assert Graph(3, [], rings=(0, 1)).rings == (0, 1)
 
     def test_adjacency_symmetry(self):
         g = make("helm", 5)

@@ -2,7 +2,7 @@
 against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, the incremental partition enumerator
 against its loop version, and the min scan against the first-partition
-scan; and on random ring graphs with their dihedral group, the
+scan; and on random ring graphs with their ring layout, the
 enumerator's lex-leader cut against the loop version, which has no cut,
 and phi and the b min sum against the oracle."""
 
@@ -40,7 +40,8 @@ def ring_graphs(draw) -> Graph:
     """A random column of 1-3 vertices repeated around a ring of n columns,
     with an optional hub, laid out as the families are (hub 0, then the
     vertices of column position a in ring order, position after position),
-    and carrying the dihedral group of the ring index with the hub fixed.
+    and carrying that layout, whose symmetry is the dihedral group of the
+    ring index with the hub fixed.
     Edges inside a column, spokes from the hub, and edges between
     neighbouring columns are drawn once for every column; an edge from
     position a to position b of the next column comes with its mirror, b to
@@ -60,12 +61,7 @@ def ring_graphs(draw) -> Graph:
     edges = [(at(a, i), at(b, i)) for a, b in inside for i in range(n)]
     edges += [e for a, b in across for i in range(n) for e in ((at(a, i), at(b, i + 1)), (at(b, i), at(a, i + 1)))]
     edges += [(0, at(a, i)) for a in spokes for i in range(n)]
-    group = tuple(
-        tuple(range(hub)) + tuple(at(a, s + sign * i) for a in positions for i in range(n))
-        for s in range(n)
-        for sign in (1, -1)
-    )
-    return Graph(hub + t * n, edges, automorphisms=group)
+    return Graph(hub + t * n, edges, rings=(hub, n))
 
 
 def classes(result) -> set[frozenset[int]]:

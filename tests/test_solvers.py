@@ -194,6 +194,11 @@ class TestBudget:
             chi_sum(make("helm", 5), "min", budget=SearchBudget(max_nodes=5))
         assert info.value.nodes_explored >= 5
 
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="nan"):
+            SearchBudget(max_time=float("nan"))
+        assert SearchBudget(max_time=float("inf")).max_time == float("inf")
+
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):
             b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))

@@ -126,12 +126,16 @@ class TestRunCampaign:
         assert validate_witness(row, tmp_path) is False
 
     def test_witness_check_builds_no_group(self, tmp_path, monkeypatch):
-        # propriety needs only the edges; chi and phi are solved once per
-        # graph on the graph with its group
-        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "chi_sum_min"], out_dir=tmp_path)
+        # a check builds its row's graph once, with its ring layout and no
+        # permutation group, and chi and phi are solved once per graph, so a
+        # second pass builds one graph per (family, n)
+        rows = run_campaign(["web", "sunlet"], 3, 3, ["b_sum_min"], out_dir=tmp_path)
         assert all(validate_witness(row, tmp_path) for row in rows)
-        monkeypatch.setattr(families, "make", lambda kind, n: pytest.fail("a witness check built a group"))
+        built = []
+        real = families.make
+        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
         assert all(validate_witness(row, tmp_path) for row in rows)
+        assert built == [("sunlet", 3), ("web", 3)]
 
     @pytest.mark.parametrize("shape", ["missing", "directory"])
     def test_unreadable_witness_fails(self, tmp_path, shape):
@@ -381,13 +385,15 @@ class TestCache:
         assert render_report(cold, "csv") == render_report(warm, "csv")
 
     def test_served_rows_build_each_graph_once_without_group(self, tmp_path, monkeypatch):
+        # the load checks each entry against its graph, built once per
+        # (family, n) with its ring layout and no permutation group; serving
+        # the rows builds none
         path = tmp_path / "results.json"
         args = (["sunlet"], 3, 4, ["chi_sum_min", "chi_sum_max", "b_sum_min", "b_sum_max"])
         run_campaign(*args, cache=ResultsCache(path))
         built = []
-        real = families.edges
-        monkeypatch.setattr(families, "edges", lambda kind, n: built.append((kind, n)) or real(kind, n))
-        monkeypatch.setattr(families, "make", lambda kind, n: pytest.fail("a served row built a dihedral group"))
+        real = families.make
+        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
         run_campaign(*args, cache=ResultsCache(path))
         assert built == [("sunlet", 3), ("sunlet", 4)]
 
