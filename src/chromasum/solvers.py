@@ -18,10 +18,14 @@ search and narrowed only where an assignment uses up a vertex's slack; and
 nodes are counted in a local that meets the budget only at a call's first
 node, at every 1,024th node and past the node budget.  Where that bound
 does not prune, a second one caps the largest class by what any class can
-still hold, in O(k) popcounts.  A distinct b-vertex count cuts a node
+still hold, in O(k) popcounts, each cap also at most the independence
+number of the unassigned suffix.  A distinct b-vertex count cuts a node
 where more classes must still take their b-vertex from the unassigned
 vertices of `good` than there are such vertices, since no vertex is the
-b-vertex of two classes (see `_partition`).
+b-vertex of two classes (see `_partition`).  The tables a search reads of
+the graph alone (the suffix masks and their independence numbers, the
+lex-leader images) are built once per graph object and shared by every
+search of that graph.
 
 A graph that carries a ring layout (every family does) is searched once
 per orbit of its dihedral group D_n: a partition whose restricted-growth
@@ -45,11 +49,15 @@ partition its *_sum_min finds: six quantities are read off four searches
 its k for chi and b_chromatic (`witness_value`).
 
 A budget bounds the nodes and wall time of one call, its scan included;
-exhausting either raises, it never degrades to a wrong answer.
+exhausting either raises, it never degrades to a wrong answer.  The one
+step outside it, building a graph's tables before the first node, is
+bounded work on any graph: its independence numbers are exact up to a
+fixed memo size and upper bounds past it (`_suffix_alpha`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -57,7 +65,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "6"
+SOLVER_VERSION = "7"
 
 # The search each quantity's row is read from.  A *_sum_max row is its
 # *_sum_min search relabelled (`max_twin`); every other quantity is a search.
@@ -257,6 +265,16 @@ def _partition(
     node is cut when that reaches the incumbent.  It costs O(used)
     popcounts and no sort.
 
+    Both caps are also at most alpha[v], the independence number of
+    G[v..n-1]: what a class still gains is an independent set of the
+    unassigned vertices, and those are always the suffix v..n-1.  So an
+    unopened class ends at most at min(P+1, alpha[v]) and an opened one at
+    sizes[c] + min(popcount(free & ~sees[c]), alpha[v]); the popcount is
+    skipped when sizes[c] + alpha[v] is within the limit already.  The cap
+    bounds completions only, whatever their classes must also satisfy, so
+    it holds for chi and b searches alike.  The alpha table is built once
+    per graph (`_suffix_alpha`, `_graph_tables`).
+
     b-feasibility: an eligible vertex w (degree >= k-1) can still dominate
     an opened class c if it is in c, or unassigned with no neighbour in c,
     and it sees or can still see k-1 other classes, which it does while
@@ -304,10 +322,7 @@ def _partition(
     # eligible neighbours of each vertex, whose slack its assignment can lower
     watchers = [[w for w in eligible if adj[v] >> w & 1] for v in range(n)]
     watched = [sum(1 << w for w in ws) for ws in watchers]
-    # the unassigned vertices v..n-1 at each v
-    tails = [((1 << n) - 1) >> v << v for v in range(n)]
-
-    cut, images = _lex_leader_cut(g)
+    tails, alpha, cut, images = _graph_tables(g)
 
     best_value: int | None = None
     best_assign: list[int] | None = None
@@ -365,10 +380,12 @@ def _partition(
             # capacity bound: cut if no class can end with more than `limit`
             # vertices, as the greedy largest class then overshoots by enough
             limit = lb + top + spare - best_value
-            if limit >= (spare + 1 if need else 0):
+            most = alpha[v]
+            if limit >= (min(spare + 1, most) if need else 0):
                 free = tails[v]
                 for c in range(used):
-                    if sizes[c] + (free & ~sees[c]).bit_count() > limit:
+                    s = sizes[c]
+                    if s + most > limit and s + (free & ~sees[c]).bit_count() > limit:
                         break
                 else:
                     return False
@@ -443,3 +460,78 @@ def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     d = hub + m
     images = {(*range(hub), *(hub + (s + sign * i) % m for i in range(m))) for s in range(m) for sign in (1, -1)}
     return d, sorted(images - {tuple(range(d))})
+
+
+@functools.lru_cache(maxsize=4)
+def _graph_tables(g: Graph) -> tuple[list[int], list[int], int, list[tuple[int, ...]]]:
+    """What `_partition` reads of g alone, built once per graph object: the
+    unassigned vertices v..n-1 at each v, their independence numbers
+    (`_suffix_alpha`), and the lex-leader depth and images.  Keyed to the
+    object (a Graph hashes by identity), so a campaign that builds its
+    graphs afresh pays for their tables once each.  Every search of g
+    shares them, and none writes to them."""
+    n = g.n
+    tails = [((1 << n) - 1) >> v << v for v in range(n)]
+    return (tails, _suffix_alpha(g), *_lex_leader_cut(g))
+
+
+# Most masks `_suffix_alpha` memoises for one graph.  Every family with
+# rings of up to 100 vertices needs fewer (web:100 needs 10,500), and the
+# limit bounds the work and memory of the table on any other graph.
+_ALPHA_MEMO_LIMIT = 1 << 14
+
+
+class _AlphaLimit(Exception):
+    """`_alpha`'s memo reached its limit."""
+
+
+def _suffix_alpha(g: Graph) -> list[int]:
+    """alpha[v] >= the independence number of G[v..n-1], for v = 0..n.
+    Exact, from one memo shared by the suffixes (`_alpha`), shortest suffix
+    first, while the memo holds fewer than `_ALPHA_MEMO_LIMIT` masks; past
+    that each longer suffix takes alpha[v+1] + 1, as one more vertex adds
+    at most one to a largest independent set.  The capacity cut needs only
+    an upper bound, so it stays sound either way."""
+    n = g.n
+    alpha = [0] * (n + 1)
+    memo = {0: 0}
+    full = (1 << n) - 1
+    for v in range(n - 1, -1, -1):
+        try:
+            alpha[v] = _alpha(g.adj, full >> v << v, memo)
+        except _AlphaLimit:
+            for u in range(v, -1, -1):
+                alpha[u] = alpha[u + 1] + 1
+            break
+    return alpha
+
+
+def _alpha(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
+    """The independence number of the subgraph induced by `mask`, memoised
+    on masks: a vertex of degree at most 1 in it is always taken (some
+    largest independent set holds it), else the search branches on a vertex
+    of largest degree, without it or with it and its neighbours removed.  A
+    module function rather than a closure, so its memo is freed on return
+    instead of waiting in a reference cycle for the collector.  Raises
+    `_AlphaLimit` rather than grow the memo past `_ALPHA_MEMO_LIMIT`."""
+    if mask in memo:
+        return memo[mask]
+    if len(memo) >= _ALPHA_MEMO_LIMIT:
+        raise _AlphaLimit
+    pick, most = 0, -1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        d = (adj[u] & mask).bit_count()
+        if d <= 1:
+            best = 1 + _alpha(adj, mask & ~low & ~adj[u], memo)
+            break
+        if d > most:
+            pick, most = u, d
+    else:
+        low = 1 << pick
+        best = max(_alpha(adj, mask & ~low, memo), 1 + _alpha(adj, mask & ~low & ~adj[pick], memo))
+    memo[mask] = best
+    return best

@@ -382,11 +382,19 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
     except (OSError, KeyError, TypeError, ValueError):
         return False
-    if not _colours(families.make(row.family, row.n), row.quantity, witness):
+    if not _colours(_graph(row.family, row.n), row.quantity, witness):
         return False
     if witness_value(row.quantity, witness) != row.computed:
         return False
     return witness.k == _colour_count(row.family, row.n, row.quantity.startswith("b_"))
+
+
+@functools.lru_cache(maxsize=1)
+def _graph(family: str, n: int) -> Graph:
+    """family(n) for the witness checks, kept until a check asks for
+    another graph: report rows come grouped by (family, n), so a group's
+    rows and its chi or phi share one build."""
+    return families.make(family, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,4 +402,4 @@ def _colour_count(family: str, n: int, b: bool) -> int:
     """phi (b) or chi of family(n), solved once: the graph depends only on
     (family, n), so a memoised count never goes stale."""
     number = b_chromatic_number if b else chromatic_number
-    return number(families.make(family, n)).value
+    return number(_graph(family, n)).value

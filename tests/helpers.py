@@ -74,6 +74,22 @@ def exhaustive_labeling_extremum(class_sizes, direction):
     return best
 
 
+@functools.lru_cache(maxsize=16)
+def brute_suffix_alpha(g):
+    """The size of a largest independent set of G[v..n-1], for v = 0..n, by
+    trying every vertex subset against the edge list: an independent set
+    whose lowest vertex is u counts for every suffix from 0 to u."""
+    alpha = [0] * (g.n + 1)
+    for subset in range(1, 1 << g.n):
+        if any(subset >> a & 1 and subset >> b & 1 for a, b in g.edges):
+            continue
+        size = bin(subset).count("1")
+        lowest = (subset & -subset).bit_length() - 1
+        for v in range(lowest + 1):
+            alpha[v] = max(alpha[v], size)
+    return alpha
+
+
 def reference_partition(g, k, tracker, require_b, first=False):
     """The loop version of `solvers._partition`, kept as the reference for the
     incremental one: each node rescans every opened class against every
@@ -84,8 +100,10 @@ def reference_partition(g, k, tracker, require_b, first=False):
     how far the padded largest class exceeds what any class can still hold
     (each opened class's size plus the unassigned vertices with no
     neighbour in it, or one more than the vertices spare for an unopened
-    class), and checks at a leaf that each class has a vertex seeing every
-    other class.  Same pruning decisions, so the same classes and nodes."""
+    class, and never more than a largest independent set of the unassigned
+    vertices, taken from `brute_suffix_alpha`), and checks at a leaf that
+    each class has a vertex seeing every other class.  Same pruning
+    decisions, so the same classes and nodes."""
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
@@ -97,6 +115,7 @@ def reference_partition(g, k, tracker, require_b, first=False):
     eligible_mask = 0
     for v in eligible:
         eligible_mask |= 1 << v
+    alpha = brute_suffix_alpha(g)
 
     best_value = None
     best_assign = None
@@ -151,10 +170,10 @@ def reference_partition(g, k, tracker, require_b, first=False):
             padded[0] += rem - need
             padded += [1] * need
             # the most vertices any one class can end with
-            cap = rem - need + 1 if need else 0
+            cap = min(rem - need + 1, alpha[v]) if need else 0
             for c in range(used):
                 outside = sum(1 for u in range(v, n) if not adj[u] & masks[c])
-                cap = max(cap, sizes[c] + outside)
+                cap = max(cap, sizes[c] + min(outside, alpha[v]))
             excess = max(0, padded[0] - cap)
             if sum(i * s for i, s in enumerate(padded, start=1)) + excess >= best_value:
                 return False

@@ -1,14 +1,18 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
 against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, the incremental partition enumerator
-against its loop version, and the min scan against the first-partition
-scan; and on random ring graphs with their ring layout, the
-enumerator's lex-leader cut against the loop version, which has no cut,
-and phi and the b min sum against the oracle."""
+against its loop version, the min scan against the first-partition
+scan, and the suffix independence numbers against a brute force; and on
+random ring graphs with their ring layout, the enumerator's lex-leader
+cut against the loop version, which has no cut, and phi and the b min
+sum against the oracle."""
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromasum import solvers
 from chromasum.coloring import is_proper
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
@@ -17,6 +21,7 @@ from chromasum.solvers import (
     _lex_leader_cut,
     _partition,
     _scan,
+    _suffix_alpha,
     _Tracker,
     b_chromatic_number,
     b_sum,
@@ -24,7 +29,7 @@ from chromasum.solvers import (
     chromatic_number,
     max_twin,
 )
-from helpers import reference_partition
+from helpers import brute_suffix_alpha, reference_partition
 
 
 @st.composite
@@ -116,6 +121,27 @@ def test_partition_matches_reference(g):
                     tracker = _Tracker(SearchBudget())
                     runs.append((enumerate_partitions(g, k, tracker, require_b, first), tracker.nodes))
                 assert runs[0] == runs[1], (k, require_b, first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_suffix_alpha(g):
+    # the capacity cap's table against a largest independent set of each
+    # suffix found by trying every vertex subset
+    assert _suffix_alpha(g) == brute_suffix_alpha(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.integers(min_value=1, max_value=64))
+def test_suffix_alpha_past_memo_limit(g, limit):
+    # a memo too small for the exact table still yields upper bounds, which
+    # is all the capacity cap needs to stay sound
+    exact = brute_suffix_alpha(g)
+    with mock.patch.object(solvers, "_ALPHA_MEMO_LIMIT", limit):
+        alpha = _suffix_alpha(g)
+    assert alpha[g.n] == 0
+    assert all(a >= e for a, e in zip(alpha, exact))
+    assert all(alpha[v] <= alpha[v + 1] + 1 for v in range(g.n))
 
 
 @settings(max_examples=100, deadline=None)

@@ -236,6 +236,32 @@ class TestBudget:
             b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=1.5))
         assert (info.value.nodes_explored, info.value.elapsed_ms) == (1_024, 3_000)
 
+    def test_table_build_is_bounded_work(self, monkeypatch):
+        # the independence numbers are built before the first node's budget
+        # check; on a graph with no ring layout and no low-degree vertex to
+        # reduce, their memo limit bounds the calls, not the graph's size
+        n = 150
+        edges = [(u, v) for u in range(n) for v in (u + 1, u + 2, u + 5) if v < n]
+        edges += [(u, (u * 37 + 11) % n) for u in range(n) if (u * 37 + 11) % n != u]
+        g = Graph(n, edges)
+        calls = 0
+        alpha = solvers._alpha
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            # each call stores a mask or reads one, and at most n are open
+            assert calls <= 2 * (solvers._ALPHA_MEMO_LIMIT + n) + 1
+            return alpha(*args)
+
+        monkeypatch.setattr(solvers, "_alpha", counted)
+        with pytest.raises(BudgetExhausted, match="time budget exhausted") as info:
+            chi_sum(g, "min", budget=SearchBudget(max_time=0.0))
+        assert info.value.nodes_explored == 1
+        table = solvers._graph_tables(g)[1]
+        # past the limit each longer suffix is bounded by one more vertex
+        assert table[0] > table[n // 2] >= table[n] == 0
+
 
 class TestPickle:
     """Campaign rows cross the process pool as these objects."""
@@ -265,11 +291,11 @@ class TestNodeCounts:
     CASES = [
         (b_sum, "sunlet", 8, 1_728),
         (b_sum, "web", 6, 1_650),
-        (b_sum, "closed_helm", 8, 3_209),
+        (b_sum, "closed_helm", 8, 1_960),
         (b_sum, "helm", 8, 3_375),
         (b_sum, "web", 7, 16_247),
-        (b_sum, "double_wheel", 9, 809),
-        (chi_sum, "double_wheel", 9, 824),
+        (b_sum, "double_wheel", 9, 175),
+        (chi_sum, "double_wheel", 9, 190),
     ]
 
     # ids name the search, not its count, so a re-pin keeps the test ids

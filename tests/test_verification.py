@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chromasum
-from chromasum import families, formulas, verification
+from chromasum import families, formulas, solvers, verification
 from chromasum.families import MIN_N, make
 from chromasum.coloring import Coloring
 from chromasum.solvers import SEARCH_OF, SOLVER_VERSION, SearchBudget, SumResult, max_twin, witness_value
@@ -155,6 +155,18 @@ class TestRunCampaign:
         verification._colour_count.cache_clear()
         assert all(validate_witness(row, tmp_path) for row in rows)
         assert len(calls) == 1
+
+    def test_witness_check_builds_each_graph_once(self, tmp_path, monkeypatch):
+        # the propriety check and the chi/phi count share one graph per
+        # (family, n), however many rows of it are checked
+        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "chi_sum_min"], out_dir=tmp_path)
+        built = []
+        real = families.make
+        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
+        verification._graph.cache_clear()
+        verification._colour_count.cache_clear()
+        assert all(validate_witness(row, tmp_path) for row in rows)
+        assert built == [("web", 3)]
 
     def test_aborted_rows(self, tmp_path):
         budget = SearchBudget(max_nodes=1)
@@ -569,7 +581,23 @@ def test_desk_cache_holds_searches_only(tmp_path):
 def test_desk_node_total_pinned():
     # a sum row's scan ends with its min search, so no k is searched twice
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
-    assert sum(r.nodes_explored for r in rows) == 14_909
+    assert sum(r.nodes_explored for r in rows) == 13_479
+
+
+def test_solve_group_builds_each_graph_tables_once(monkeypatch):
+    # every search of a group, and every k of each scan, reads one set of
+    # graph tables; a group that builds its graph afresh builds them afresh
+    built = []
+    for name in ("_lex_leader_cut", "_suffix_alpha"):
+        real = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda g, real=real, name=name: built.append(name) or real(g))
+    solvers._graph_tables.cache_clear()
+    task = ("web", 5, ("chi", "chi_sum_min", "b_chromatic", "b_sum_min"), SearchBudget())
+    out = verification._solve_group(task)
+    assert all(isinstance(r, SumResult) for r in out.values())
+    assert sorted(built) == ["_lex_leader_cut", "_suffix_alpha"]
+    verification._solve_group(task)
+    assert len(built) == 4
 
 
 def test_import_leaves_process_pool_unloaded():
