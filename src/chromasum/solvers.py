@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -218,11 +219,24 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[lis
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
     ks = range(m_bound(g), 0, -1) if require_b else range(1, g.n + 1)
-    for k in ks:
-        classes = _partition(g, k, tracker, require_b, first)
-        if classes is not None:
-            return classes
+    # `_partition`'s search and `_alpha` each recurse one level per vertex
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + min(g.n, _MAX_HEADROOM))
+    try:
+        for k in ks:
+            classes = _partition(g, k, tracker, require_b, first)
+            if classes is not None:
+                return classes
+    finally:
+        sys.setrecursionlimit(limit)
     raise RuntimeError("unreachable: chi(G) <= n, and a b-colouring with chi(G) colours exists")
+
+
+# The most levels `_scan` adds to the recursion limit.  Where each Python
+# call also takes native stack (Python 3.10), a much deeper recursion could
+# overflow that stack and crash the interpreter instead of raising
+# RecursionError.
+_MAX_HEADROOM = 10_000
 
 
 def _partition(

@@ -10,9 +10,13 @@ off its search's outcome.  A *_sum_max row is the max twin of its solved
 Rows are produced in a fixed (family, n, quantity) order regardless of how
 worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
-cache.  Each search's outcome, a SumResult or the BudgetExhausted that
-aborted it, crosses the process pool as it is; an aborted row reports the
-nodes and millis its search's tracker counted.
+cache.  Every file a run writes (witnesses, reports, the cache) goes
+through `_write_if_changed`: a rerun leaves untouched, mtime included, any
+file that already holds its bytes.  A file that changes is still written in
+place, not atomically; only the cache is renamed into place.  Each
+search's outcome, a SumResult or the BudgetExhausted that aborted it,
+crosses the process pool as it is; an aborted row reports the nodes and
+millis its search's tracker counted.
 """
 
 from __future__ import annotations
@@ -145,13 +149,33 @@ class ResultsCache:
             for key, r in self._entries.items()
         }
         payload = {"version": CACHE_VERSION, "solver_version": SOLVER_VERSION, "entries": entries}
-        # A per-process name, so runs that share the cache never write the
-        # same temporary file.
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         # No indent: any indent makes json fall back to its pure-Python
         # encoder, about four times slower.
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        _write_if_changed(self.path, json.dumps(payload, sort_keys=True) + "\n", replace=True)
+
+
+def _write_if_changed(path: Path, text: str, present: set[str] | None = None, replace: bool = False):
+    """Write text to path unless the file already holds exactly its bytes,
+    so a rerun leaves an unchanged file, and its mtime, alone.  `present`,
+    when given, holds the names in path's directory, listed once by the
+    caller: a file not among them is written without being read, so a run
+    into a fresh directory reads nothing back.  A file that changes is
+    written in place, or with `replace` as a per-process temporary file
+    renamed over path, so processes that share the file never write the
+    same temporary file or read a half-written one."""
+    data = text.encode()
+    if present is None or path.name in present:
+        try:
+            if path.read_bytes() == data:
+                return
+        except OSError:
+            pass  # missing or unreadable: written below
+    if not replace:
+        path.write_bytes(data)
+        return
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
@@ -265,6 +289,7 @@ def run_campaign(
     if out_dir is not None:
         witness_dir = Path(out_dir) / "witnesses"
         witness_dir.mkdir(parents=True, exist_ok=True)
+        present = set(os.listdir(witness_dir))
 
     rows = []
     for family, n, quantity in tasks:
@@ -278,8 +303,8 @@ def run_campaign(
             status = "match" if computed == predicted else "mismatch"
             if witness_dir is not None:
                 witness_rel = f"witnesses/{family}-{n}-{quantity}.json"
-                path = witness_dir / f"{family}-{n}-{quantity}.json"
-                path.write_text(json.dumps(outcome.witness.to_json(), sort_keys=True) + "\n")
+                text = json.dumps(outcome.witness.to_json(), sort_keys=True) + "\n"
+                _write_if_changed(witness_dir / f"{family}-{n}-{quantity}.json", text, present)
         rows.append(
             VerificationRow(
                 family, n, quantity, predicted, computed, status, witness_rel,
@@ -362,10 +387,11 @@ def _render_markdown(rows) -> str:
 def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "markdown")) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    present = set(os.listdir(out))
     written = []
     for fmt in formats:
         path = out / REPORT_FILES[fmt]
-        path.write_text(render_report(rows, fmt))
+        _write_if_changed(path, render_report(rows, fmt), present)
         written.append(path)
     return written
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import sys
 
 import pytest
 from helpers import complete_graph, cycle, empty_graph, star
@@ -58,6 +59,18 @@ class TestChromaticNumber:
 
     def test_edgeless(self):
         assert chromatic_number(empty_graph(4)).value == 1
+
+    def test_graph_deeper_than_the_recursion_limit(self):
+        # the search recurses once per vertex, and sunlet:600 has 1,200
+        g = make("sunlet", 600)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(BudgetExhausted):
+            chromatic_number(g, SearchBudget(max_nodes=10))
+        assert sys.getrecursionlimit() == limit
+        r = chromatic_number(g)
+        assert (r.value, r.nodes_explored) == (2, 1203)
+        assert is_proper(g, r.witness)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestChiSum:

@@ -482,6 +482,100 @@ class TestCache:
         assert cache.get("helm", 3, "chi") == second
 
 
+class TestRerunWrites:
+    """A run leaves alone every file that already holds the bytes it would
+    write, and writes every other file."""
+
+    SMALL = (["sunlet", "helm"], 3, 4, ALL_QUANTITIES)
+
+    @staticmethod
+    def _verify(out_dir, grid):
+        cache = ResultsCache(out_dir / "cache" / "results.json")
+        rows = run_campaign(*grid, out_dir=out_dir, cache=cache)
+        write_reports(rows, out_dir)
+        return rows
+
+    @staticmethod
+    def _files(out_dir) -> dict[Path, bytes]:
+        return {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+    @staticmethod
+    def _stamps(out_dir) -> dict[Path, tuple[int, int]]:
+        return {p: (p.stat().st_mtime_ns, p.stat().st_ino) for p in out_dir.rglob("*") if p.is_file()}
+
+    @staticmethod
+    def _backdate(paths):
+        # a file rewritten later can only carry a newer mtime than this
+        for p in paths:
+            os.utime(p, ns=(10**18, 10**18))
+
+    def test_warm_desk_rerun_touches_no_file(self, tmp_path):
+        desk = (formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
+        self._verify(tmp_path, desk)
+        files = self._files(tmp_path)
+        assert len(files) == 99 + 3 + 1  # witnesses, reports, cache
+        self._backdate(files)
+        before = self._stamps(tmp_path)
+        self._verify(tmp_path, desk)
+        assert self._stamps(tmp_path) == before
+        assert self._files(tmp_path) == files
+
+    def test_altered_witness_and_report_are_rewritten(self, tmp_path):
+        self._verify(tmp_path, self.SMALL)
+        files = self._files(tmp_path)
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        report = tmp_path / "report.csv"
+        witness.write_text('{"colors": [1], "k": 1}\n')
+        report.write_bytes(files[report].replace(b"match", b"hctam"))
+        self._verify(tmp_path, self.SMALL)
+        assert self._files(tmp_path) == files
+
+    def test_cache_entry_failing_its_check_is_dropped_on_save(self, tmp_path):
+        self._verify(tmp_path, self.SMALL)
+        path = tmp_path / "cache" / "results.json"
+        clean = path.read_bytes()
+        # an improper witness for a key outside the run's grid: no put
+        # replaces it, and the load check drops it
+        data = json.loads(clean)
+        data["entries"]["sunlet:9:chi_sum_min"] = {"witness": {"k": 1, "colors": [1] * 18}, "nodes": 1, "millis": 1}
+        path.write_text(json.dumps(data, sort_keys=True) + "\n")
+        self._verify(tmp_path, self.SMALL)
+        assert path.read_bytes() == clean
+
+    def test_cache_that_loads_clean_is_left_untouched(self, tmp_path):
+        self._verify(tmp_path, self.SMALL)
+        path = tmp_path / "cache" / "results.json"
+        self._backdate([path])
+        before = self._stamps(path.parent)
+        ResultsCache(path).save()
+        assert self._stamps(path.parent) == before
+
+    def test_cold_run_writes_every_file_and_reads_none(self, tmp_path, monkeypatch):
+        read, written = [], []
+        read_bytes, write_bytes = Path.read_bytes, Path.write_bytes
+
+        def reading(path):
+            read.append(path)
+            return read_bytes(path)
+
+        def writing(path, data):
+            written.append(path)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "read_bytes", reading)
+        monkeypatch.setattr(Path, "write_bytes", writing)
+        rows = self._verify(tmp_path, self.SMALL)
+        cache = tmp_path / "cache" / "results.json"
+        # only the cache, which is not listed, is looked for, and it is absent
+        assert read == [cache]
+        assert all(r.witness_path for r in rows)
+        outputs = {tmp_path / r.witness_path for r in rows}
+        outputs |= {tmp_path / name for name in verification.REPORT_FILES.values()}
+        tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+        assert sorted(written) == sorted(outputs | {tmp})
+        assert set(self._files(tmp_path)) == outputs | {cache}
+
+
 class TestRendering:
     def _rows(self):
         return [
