@@ -130,11 +130,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        entry = formulas.entry_for(args.family, args.quantity)
-    except formulas.NoPublishedFormula as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    entry = formulas.entry_for(args.family, args.quantity)
     for n in range(families.MIN_N, args.n_max + 1):
         print(f"{n} {entry.predict(n)}")
     return 0

@@ -23,8 +23,9 @@ _CH_NOTE = (
 )
 
 
-class NoPublishedFormula(LookupError):
-    pass
+class NoPublishedFormula(LookupError, ValueError):
+    """No formula is published for the asked (family, quantity) pair; a
+    ValueError too, so the CLI reports it as a usage error."""
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
 cache.  Every file a run writes (witnesses, reports, the cache) goes
 through `_write_if_changed`: a rerun leaves untouched, mtime included, any
-file that already holds its bytes.  A file that changes is still written in
-place, not atomically; only the cache is renamed into place.  Each
+file that already holds its bytes, and any other file is written beside it
+and renamed into place, so no file is ever left half-written.  Each
 search's outcome, a SumResult or the BudgetExhausted that aborted it,
 crosses the process pool as it is; an aborted row reports the nodes and
 millis its search's tracker counted.
@@ -127,6 +127,8 @@ class ResultsCache:
                     continue
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
+            if len(witness.colors) != families.order(kind, n):
+                continue  # checked before the build: a key's graph may not fit in memory
             if (kind, n) not in graphs:
                 graphs[kind, n] = families.make(kind, n)
             if _colours(graphs[kind, n], search, witness):
@@ -151,18 +153,19 @@ class ResultsCache:
         payload = {"version": CACHE_VERSION, "solver_version": SOLVER_VERSION, "entries": entries}
         # No indent: any indent makes json fall back to its pure-Python
         # encoder, about four times slower.
-        _write_if_changed(self.path, json.dumps(payload, sort_keys=True) + "\n", replace=True)
+        _write_if_changed(self.path, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_if_changed(path: Path, text: str, present: set[str] | None = None, replace: bool = False):
+def _write_if_changed(path: Path, text: str, present: set[str] | None = None):
     """Write text to path unless the file already holds exactly its bytes,
     so a rerun leaves an unchanged file, and its mtime, alone.  `present`,
     when given, holds the names in path's directory, listed once by the
     caller: a file not among them is written without being read, so a run
-    into a fresh directory reads nothing back.  A file that changes is
-    written in place, or with `replace` as a per-process temporary file
-    renamed over path, so processes that share the file never write the
-    same temporary file or read a half-written one."""
+    into a fresh directory reads nothing back.  Any other file is written
+    to the per-process temporary `<name>.<pid>.tmp` beside it and renamed
+    over path, so a reader sees the old bytes or the new ones, never part
+    of them, and processes that share a file never write the same
+    temporary file.  A write that fails removes its temporary file."""
     data = text.encode()
     if present is None or path.name in present:
         try:
@@ -170,12 +173,13 @@ def _write_if_changed(path: Path, text: str, present: set[str] | None = None, re
                 return
         except OSError:
             pass  # missing or unreadable: written below
-    if not replace:
-        path.write_bytes(data)
-        return
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
@@ -233,10 +237,13 @@ def plan_tasks(
     bad = wanted - set(QUANTITIES)
     if bad:
         raise ValueError(f"unknown quantities: {sorted(bad)}")
+    caps = n_max if isinstance(n_max, dict) else dict.fromkeys(kinds, n_max)
+    uncapped = [f for f in kinds if f not in caps]
+    if uncapped:
+        raise ValueError(f"no n_max cap for families: {uncapped}")
     tasks = []
     for family in kinds:
-        cap = n_max[family] if isinstance(n_max, dict) else n_max
-        for n in range(max(n_min, families.MIN_N), cap + 1):
+        for n in range(max(n_min, families.MIN_N), caps[family] + 1):
             for quantity in QUANTITIES:
                 if quantity in wanted and formulas.is_covered(family, quantity):
                     tasks.append((family, n, quantity))
@@ -385,6 +392,9 @@ def _render_markdown(rows) -> str:
 
 
 def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "markdown")) -> list[Path]:
+    unknown = [fmt for fmt in formats if fmt not in REPORT_FILES]
+    if unknown:  # before any file is written
+        raise ValueError(f"unknown report formats: {unknown}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     present = set(os.listdir(out))

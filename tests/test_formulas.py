@@ -182,6 +182,8 @@ class TestCoverage:
         assert not is_covered("helm", "chi")
         with pytest.raises(NoPublishedFormula):
             predict("sunlet", "b_chromatic", 5)
+        # a usage error as well as a failed lookup
+        assert issubclass(NoPublishedFormula, ValueError) and issubclass(NoPublishedFormula, LookupError)
 
     def test_table_order_stable(self):
         # report order: family order, then quantity order within a family

@@ -62,6 +62,12 @@ class TestPlanTasks:
         with pytest.raises(ValueError, match="quantities"):
             plan_tasks(["helm"], 3, 4, ["chi", "sparkle"])
 
+    def test_rejects_family_without_cap(self):
+        with pytest.raises(ValueError, match=r"\['helm'\]"):
+            run_campaign(["web", "helm"], 3, {"web": 4}, ["chi_sum_min"])
+        with pytest.raises(ValueError, match=r"\['helm', 'web'\]"):
+            plan_tasks(["web", "helm"], 3, {"sunlet": 4}, ["chi_sum_min"])
+
     def test_empty_quantities(self):
         assert plan_tasks(["sunlet"], 3, 6, []) == []
 
@@ -418,6 +424,16 @@ class TestCache:
         (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], out_dir=tmp_path, cache=cache)
         assert (row.computed, validate_witness(row, tmp_path)) == (10, True)
 
+    def test_entry_of_the_wrong_order_builds_no_graph(self, tmp_path, monkeypatch):
+        # sunlet:10**6 has 2 * 10**6 vertices; its graph would not fit in
+        # memory, so the length check must come before any build
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:1000000:chi": self._entry([1])})
+        built = []
+        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)))
+        cache = ResultsCache(path)
+        assert (cache.get("sunlet", 10**6, "chi"), built) == (None, [])
+
     def test_keys_no_run_asks_for_are_dropped(self, tmp_path):
         kept = {"helm:3:chi": self._entry([1, 2, 3, 4, 1, 1, 1])}
         path = tmp_path / "results.json"
@@ -571,9 +587,32 @@ class TestRerunWrites:
         assert all(r.witness_path for r in rows)
         outputs = {tmp_path / r.witness_path for r in rows}
         outputs |= {tmp_path / name for name in verification.REPORT_FILES.values()}
-        tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-        assert sorted(written) == sorted(outputs | {tmp})
+        # each output is written to its temporary name, then renamed
+        tmps = {p.with_name(f"{p.name}.{os.getpid()}.tmp") for p in outputs | {cache}}
+        assert sorted(written) == sorted(tmps)
         assert set(self._files(tmp_path)) == outputs | {cache}
+
+    def test_failed_rewrite_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        rows = self._verify(tmp_path, self.SMALL)
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        report = tmp_path / "report.csv"
+        witness.write_text('{"colors": [1], "k": 1}\n')
+        report.write_bytes(report.read_bytes().replace(b"match", b"hctam"))
+        before = self._files(tmp_path)
+        write_bytes = Path.write_bytes
+
+        def failing(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", failing)
+        cache = ResultsCache(tmp_path / "cache" / "results.json")
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(*self.SMALL, out_dir=tmp_path, cache=cache)
+        with pytest.raises(OSError, match="disk full"):
+            write_reports(rows, tmp_path)
+        # the failed writes removed their temporary files
+        assert self._files(tmp_path) == before
 
 
 class TestRendering:
@@ -611,9 +650,13 @@ class TestRendering:
         text = render_report(rows, "markdown")
         assert "overlap" in text
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             render_report([], "xml")
+        # rejected before report.csv is written
+        with pytest.raises(ValueError, match="xml"):
+            write_reports(self._rows(), tmp_path, ("csv", "xml"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_line(self):
         assert summary_line(self._rows()) == "matches=1 mismatches=1 aborted=1"
