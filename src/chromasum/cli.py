@@ -1,7 +1,7 @@
 """Command-line entry point: generate family graphs, solve single
 instances, run verification campaigns, and print prediction tables.
 
-Exit codes: 0 success, 1 usage error, 2 budget exhausted,
+Exit codes: 0 success, 1 usage or file error, 2 budget exhausted,
 3 mismatches found under --strict.
 """
 
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

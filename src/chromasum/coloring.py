@@ -94,11 +94,34 @@ def optimal_labeling(partition: Iterable[Iterable[int]], direction: str) -> Colo
     return Coloring(len(ordered), colors)
 
 
-def is_proper(g: Graph, coloring: Coloring) -> bool:
+def colours(edges: Iterable[tuple[int, int]], coloring: Coloring, b: bool = False) -> bool:
+    """True iff no edge joins two vertices of one colour and, with `b`,
+    every colour class holds a b-vertex: one whose neighbours show every
+    colour but its own.  One pass over the edges, which must lie within
+    the colouring's vertices; with `b` it ORs each neighbour's colour bit
+    into a mask per vertex."""
+    cols = coloring.colors
+    if not b:
+        return all(cols[u] != cols[v] for u, v in edges)
+    sees = [0] * len(cols)
+    for u, v in edges:
+        cu, cv = cols[u], cols[v]
+        if cu == cv:
+            return False
+        sees[u] |= 1 << cv
+        sees[v] |= 1 << cu
+    every = (1 << coloring.k + 1) - 2  # colours 1..k
+    return len({c for c, mask in zip(cols, sees) if mask | 1 << c == every}) == coloring.k
+
+
+def _graph_edges(g: Graph, coloring: Coloring):
     if len(coloring.colors) != g.n:
         raise ValueError(f"colouring covers {len(coloring.colors)} vertices, graph has {g.n}")
-    cols = coloring.colors
-    return all(cols[u] != cols[v] for u, v in g.edges)
+    return g.edges
+
+
+def is_proper(g: Graph, coloring: Coloring) -> bool:
+    return colours(_graph_edges(g, coloring), coloring)
 
 
 def is_b_vertex(g: Graph, coloring: Coloring, v: int) -> bool:
@@ -111,14 +134,6 @@ def is_b_vertex(g: Graph, coloring: Coloring, v: int) -> bool:
 
 def is_b_colouring(g: Graph, coloring: Coloring) -> bool:
     """True iff the colouring is proper and every colour class contains at
-    least one b-vertex (a vertex adjacent to all other colours)."""
-    if not is_proper(g, coloring):
-        return False
-    needs = set(range(1, coloring.k + 1))
-    for v in range(g.n):
-        c = coloring.colors[v]
-        if c in needs and is_b_vertex(g, coloring, v):
-            needs.discard(c)
-            if not needs:
-                return True
-    return not needs
+    least one b-vertex (a vertex adjacent to all other colours), checked in
+    one pass over g's edges (`colours`)."""
+    return colours(_graph_edges(g, coloring), coloring, b=True)

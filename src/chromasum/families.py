@@ -10,6 +10,9 @@ its family tag and that layout, (hub, n), whose symmetry is the dihedral
 group D_n: the rotations and reflections of the ring index, applied to
 every ring at once, with the hub fixed.  They are automorphisms of every
 row, because spokes join whole rings and rungs pair equal ring indices.
+A row's edges are generated one at a time by `edges`: `make` builds the
+graph from them, and the witness checks read them without building one,
+so a check costs memory linear in its witness, not in the graph's bitsets.
 """
 
 from __future__ import annotations
@@ -58,18 +61,30 @@ def order(kind: str, n: int) -> int:
     return (1 if spokes else 0) + rings * n
 
 
-def make(kind: str, n: int) -> Graph:
-    """The graph of family `kind` with rings of n vertices: the hub's
-    spokes, the cycles and the rungs, carrying its ring layout."""
-    size = order(kind, n)
+def edges(kind: str, n: int):
+    """Generate the edges of family `kind` with rings of n vertices, without
+    building its graph: the hub's spokes, the cycles, then the rungs.
+    `make` builds the graph from them and the witness checks read them, so
+    the two share one source."""
+    _check(kind, n)
     rings, pendants, spokes, rungs = RINGS[kind]
     hub = 1 if spokes else 0
+    for r in spokes:
+        for i in range(n):
+            yield 0, hub + r * n + i
+    for r in range(rings):
+        if r not in pendants:
+            base = hub + r * n
+            for i in range(n):
+                yield base + i, base + (i + 1) % n
+    for a, b in rungs:
+        for i in range(n):
+            yield hub + a * n + i, hub + b * n + i
 
-    def at(ring: int, i: int) -> int:
-        return hub + ring * n + i % n
 
-    cycles = [r for r in range(rings) if r not in pendants]
-    edges = [(0, at(r, i)) for r in spokes for i in range(n)]
-    edges += [(at(r, i), at(r, i + 1)) for r in cycles for i in range(n)]
-    edges += [(at(a, i), at(b, i)) for a, b in rungs for i in range(n)]
-    return Graph(size, edges, family=(kind, n), rings=(hub, n))
+def make(kind: str, n: int) -> Graph:
+    """The graph of family `kind` with rings of n vertices, built from its
+    `edges` and carrying its ring layout."""
+    size = order(kind, n)
+    hub = 1 if RINGS[kind][2] else 0
+    return Graph(size, edges(kind, n), family=(kind, n), rings=(hub, n))

@@ -91,6 +91,9 @@ class SearchBudget:
         # a NaN deadline is never passed, so the search would run unbounded
         if math.isnan(self.max_time):
             raise ValueError("time budget must be a number, got nan")
+        # 0 is valid: it aborts every search, so a run serves only cached rows
+        if self.max_nodes < 0 or self.max_time < 0:
+            raise ValueError(f"budgets must be >= 0, got {self.max_nodes} nodes and {self.max_time} s")
 
 
 class BudgetExhausted(Exception):

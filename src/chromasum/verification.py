@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import families, formulas
-from .coloring import Coloring, is_b_colouring, is_proper
+from .coloring import Coloring, colours
 from .graphs import Graph
 from .solvers import (
     QUANTITIES,
@@ -91,9 +91,11 @@ class ResultsCache:
     either different, or one that is corrupt, is discarded with a warning
     and rebuilt.  Each entry is checked once, when the file is loaded, and
     kept only if a run can ask for its key, its witness decodes, and the
-    witness colours the key's graph properly (for a b search, as a
-    b-colouring).  So no entry that fails is served or saved again.  `put`
-    stores the solver's own results as they are."""
+    witness colours the key's family properly (for a b search, as a
+    b-colouring), checked against the family's edges without building its
+    graph (`_is_witness`), so no key costs more memory than its witness.
+    No entry that fails is served or saved again.  `put` stores the
+    solver's own results as they are."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -114,7 +116,6 @@ class ResultsCache:
         except Exception as exc:  # corrupt cache is recoverable by resolving
             print(f"warning: discarding unreadable cache {self.path}: {exc}", file=sys.stderr)
             return
-        graphs: dict[tuple[str, int], Graph] = {}
         for key, entry in entries.items():
             spec, _, search = key.rpartition(":")
             try:
@@ -127,11 +128,7 @@ class ResultsCache:
                     continue
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
-            if len(witness.colors) != families.order(kind, n):
-                continue  # checked before the build: a key's graph may not fit in memory
-            if (kind, n) not in graphs:
-                graphs[kind, n] = families.make(kind, n)
-            if _colours(graphs[kind, n], search, witness):
+            if _is_witness(kind, n, search, witness):
                 self._entries[key] = SumResult(search, witness_value(search, witness), witness, *counts)
 
     @staticmethod
@@ -213,12 +210,14 @@ def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
     return out
 
 
-def _colours(g: Graph, quantity: str, witness: Coloring) -> bool:
-    """True if witness is a proper colouring of g and, for a b quantity, a
-    b-colouring."""
-    if len(witness.colors) != g.n:
+def _is_witness(family: str, n: int, quantity: str, witness: Coloring) -> bool:
+    """True if witness is a proper colouring of family(n) and, for a b
+    quantity, a b-colouring.  It is checked against the family's edges as
+    they are generated, and no graph is built, so however large n is, the
+    check costs memory linear in the witness it was given."""
+    if len(witness.colors) != families.order(family, n):
         return False
-    return (is_b_colouring if quantity.startswith("b_") else is_proper)(g, witness)
+    return colours(families.edges(family, n), witness, b=quantity.startswith("b_"))
 
 
 def plan_tasks(
@@ -262,6 +261,14 @@ def run_campaign(
 ) -> list[VerificationRow]:
     budget = budget or SearchBudget()
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
+    # made and listed before any search, so a run that cannot write its
+    # witnesses fails before it solves anything
+    witness_dir = None
+    if out_dir is not None:
+        witness_dir = Path(out_dir) / "witnesses"
+        witness_dir.mkdir(parents=True, exist_ok=True)
+        present = set(os.listdir(witness_dir))
+
     # the searches each (family, n) needs, in order and once each
     searches: dict[tuple[str, int], dict[str, None]] = {}
     for family, n, quantity in tasks:
@@ -291,12 +298,6 @@ def run_campaign(
             outcomes[(family, n, search)] = outcome
             if cache is not None and isinstance(outcome, SumResult):
                 cache.put(family, n, search, outcome)
-
-    witness_dir = None
-    if out_dir is not None:
-        witness_dir = Path(out_dir) / "witnesses"
-        witness_dir.mkdir(parents=True, exist_ok=True)
-        present = set(os.listdir(witness_dir))
 
     rows = []
     for family, n, quantity in tasks:
@@ -408,17 +409,17 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "mar
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
     """Re-validate a report row's witness file from scratch: propriety, the
-    b-property for b quantities, value agreement, and that the witness has
-    chi(G) colours (chi quantities) or phi(G) colours (b quantities).  A
-    file that is missing, unreadable, or not a colouring of the row's graph
-    fails the check."""
+    b-property for b quantities (both by the cache's check, `_is_witness`),
+    value agreement, and that the witness has chi(G) colours (chi
+    quantities) or phi(G) colours (b quantities).  A file that is missing,
+    unreadable, or not a colouring of the row's graph fails the check."""
     if not row.witness_path:
         return False
     try:
         witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
     except (OSError, KeyError, TypeError, ValueError):
         return False
-    if not _colours(_graph(row.family, row.n), row.quantity, witness):
+    if not _is_witness(row.family, row.n, row.quantity, witness):
         return False
     if witness_value(row.quantity, witness) != row.computed:
         return False
@@ -427,9 +428,9 @@ def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
 
 @functools.lru_cache(maxsize=1)
 def _graph(family: str, n: int) -> Graph:
-    """family(n) for the witness checks, kept until a check asks for
-    another graph: report rows come grouped by (family, n), so a group's
-    rows and its chi or phi share one build."""
+    """family(n) for `_colour_count`, kept until it asks for another graph:
+    report rows come grouped by (family, n), so a group's chi and phi share
+    one build.  The colouring checks build no graph (`_is_witness`)."""
     return families.make(family, n)
 
 

@@ -75,6 +75,10 @@ class TestSolve:
         # a NaN deadline is never passed, so the search would run unbounded
         assert main(["solve", "helm:3", "--quantity", "b_sum_min", "--budget-secs", "nan"]) == 1
         assert "nan" in capsys.readouterr().err
+        # a negative budget is a usage error, not an exhausted one
+        for flag, value in (("--budget-nodes", "-5"), ("--budget-secs", "-1")):
+            assert main(["solve", "helm:3", "--quantity", "b_sum_min", flag, value]) == 1
+            assert "budgets must be >= 0" in capsys.readouterr().err
 
     def test_unknown_quantity_rejected(self, capsys):
         assert main(["solve", "helm:3", "--quantity", "sparkle"]) == 1
@@ -151,6 +155,13 @@ class TestVerify:
         code = main(["verify", "--families", "gear", "--out", str(tmp_path)])
         assert code == 1
         assert not (tmp_path / "report.csv").exists()
+
+    def test_out_that_is_a_file_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        code = main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         code = main([

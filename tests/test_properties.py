@@ -5,7 +5,8 @@ against its loop version, the min scan against the first-partition
 scan, and the suffix independence numbers against a brute force; and on
 random ring graphs with their ring layout, the enumerator's lex-leader
 cut against the loop version, which has no cut, and phi and the b min
-sum against the oracle."""
+sum against the oracle; and on random graphs and colourings, the
+one-pass colouring checks against their definitions."""
 
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromasum import solvers
-from chromasum.coloring import is_proper
+from chromasum.coloring import Coloring, is_b_colouring, is_b_vertex, is_proper
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import (
@@ -67,6 +68,23 @@ def ring_graphs(draw) -> Graph:
     edges += [e for a, b in across for i in range(n) for e in ((at(a, i), at(b, i + 1)), (at(b, i), at(a, i + 1)))]
     edges += [(0, at(a, i)) for a in spokes for i in range(n)]
     return Graph(hub + t * n, edges, rings=(hub, n))
+
+
+@st.composite
+def coloured_graphs(draw) -> tuple[Graph, Coloring]:
+    """A random graph and a random colouring that uses every one of its
+    colours: either any map to colours, or a greedy colouring in a random
+    vertex order, which is proper and often a b-colouring."""
+    g = draw(graphs())
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(1, g.n), min_size=g.n, max_size=g.n))
+    else:
+        raw = [0] * g.n
+        for v in draw(st.permutations(range(g.n))):
+            taken = {raw[u] for u in g.neighbors(v)}
+            raw[v] = next(c for c in range(1, g.n + 1) if c not in taken)
+    dense = {c: i for i, c in enumerate(sorted(set(raw)), start=1)}
+    return g, Coloring(len(dense), [dense[c] for c in raw])
 
 
 def classes(result) -> set[frozenset[int]]:
@@ -190,3 +208,16 @@ def test_b_quantities_on_ring_graphs(g):
     phi = brute_force_oracle(g, "b_chromatic").value
     assert b_chromatic_number(g).value == phi
     assert b_sum(g, "min").value == brute_force_oracle(g, "b_sum_min", k=phi).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_graphs())
+def test_colouring_checks_match_definitions(gc):
+    # the one-pass check against a check of every vertex pair, and against
+    # the b-colouring's definition: proper, and a b-vertex in every class
+    g, coloring = gc
+    cols = coloring.colors
+    pairwise = all(cols[u] != cols[v] for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1)
+    assert is_proper(g, coloring) == pairwise
+    definition = pairwise and all(any(is_b_vertex(g, coloring, v) for v in c) for c in coloring.classes())
+    assert is_b_colouring(g, coloring) == definition

@@ -211,6 +211,11 @@ class TestBudget:
         with pytest.raises(ValueError, match="nan"):
             SearchBudget(max_time=float("nan"))
         assert SearchBudget(max_time=float("inf")).max_time == float("inf")
+        for negative in ({"max_nodes": -5}, {"max_time": -0.5}):
+            with pytest.raises(ValueError, match=">= 0"):
+                SearchBudget(**negative)
+        # 0 aborts every search, so a run serves only its cached rows
+        assert SearchBudget(max_nodes=0, max_time=0.0).max_nodes == 0
 
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):

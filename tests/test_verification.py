@@ -82,6 +82,15 @@ class TestRunCampaign:
         assert by_n[4].computed == 12 and by_n[4].status == "match"
         assert all(r.quantity == "chi_sum_min" for r in rows)
 
+    def test_unwritable_out_dir_fails_before_any_search(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        calls = []
+        monkeypatch.setattr(verification, "_solve_group", lambda task: calls.append(task))
+        with pytest.raises(OSError):
+            run_campaign(["sunlet"], 3, 4, ["chi_sum_min"], out_dir=out)
+        assert calls == []
+
     def test_witnesses_written_and_valid(self, tmp_path):
         rows = run_campaign(["web"], 3, 3, ["b_sum_min", "b_chromatic"], out_dir=tmp_path)
         for row in rows:
@@ -132,16 +141,15 @@ class TestRunCampaign:
         assert validate_witness(row, tmp_path) is False
 
     def test_witness_check_builds_no_group(self, tmp_path, monkeypatch):
-        # a check builds its row's graph once, with its ring layout and no
-        # permutation group, and chi and phi are solved once per graph, so a
-        # second pass builds one graph per (family, n)
+        # a check reads its family's edges and builds no graph, and chi and
+        # phi are solved once per graph, so a second pass builds nothing
         rows = run_campaign(["web", "sunlet"], 3, 3, ["b_sum_min"], out_dir=tmp_path)
         assert all(validate_witness(row, tmp_path) for row in rows)
         built = []
         real = families.make
         monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
         assert all(validate_witness(row, tmp_path) for row in rows)
-        assert built == [("sunlet", 3), ("web", 3)]
+        assert built == []
 
     @pytest.mark.parametrize("shape", ["missing", "directory"])
     def test_unreadable_witness_fails(self, tmp_path, shape):
@@ -402,10 +410,9 @@ class TestCache:
         assert calls == []
         assert render_report(cold, "csv") == render_report(warm, "csv")
 
-    def test_served_rows_build_each_graph_once_without_group(self, tmp_path, monkeypatch):
-        # the load checks each entry against its graph, built once per
-        # (family, n) with its ring layout and no permutation group; serving
-        # the rows builds none
+    def test_served_rows_build_no_graph(self, tmp_path, monkeypatch):
+        # the load checks each entry against its family's edges, and serving
+        # the rows solves nothing, so a warm run builds no graph
         path = tmp_path / "results.json"
         args = (["sunlet"], 3, 4, ["chi_sum_min", "chi_sum_max", "b_sum_min", "b_sum_max"])
         run_campaign(*args, cache=ResultsCache(path))
@@ -413,7 +420,7 @@ class TestCache:
         real = families.make
         monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
         run_campaign(*args, cache=ResultsCache(path))
-        assert built == [("sunlet", 3), ("sunlet", 4)]
+        assert built == []
 
     def test_witness_of_another_graph_is_a_miss(self, tmp_path):
         # the sum of [1, 1, 1, 2] is 5, but sunlet:3 has 6 vertices, not 4
@@ -433,6 +440,45 @@ class TestCache:
         monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)))
         cache = ResultsCache(path)
         assert (cache.get("sunlet", 10**6, "chi"), built) == (None, [])
+
+    @staticmethod
+    def _sunlet_2_colouring(n):
+        """A proper 2-colouring of sunlet(n), n even: the cycle alternates
+        and each pendant takes the other colour of its cycle vertex."""
+        cycle = [1 + i % 2 for i in range(n)]
+        return cycle + [3 - c for c in cycle]
+
+    @staticmethod
+    def _forbid_builds(monkeypatch):
+        def make(kind, n):
+            raise AssertionError(f"built {kind}:{n}")
+
+        monkeypatch.setattr(families, "make", make)
+
+    def test_large_key_is_checked_without_a_graph(self, tmp_path, monkeypatch):
+        # sunlet:100000's bitset graph would take gigabytes; its entry is
+        # checked against the family's edges, kept and served
+        colors = self._sunlet_2_colouring(100_000)
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:100000:chi": self._entry(colors)})
+        self._forbid_builds(monkeypatch)
+        served = ResultsCache(path).get("sunlet", 100_000, "chi")
+        assert (served.value, served.witness.colors) == (2, tuple(colors))
+        ResultsCache(path).save()
+        assert list(json.loads(path.read_text())["entries"]) == ["sunlet:100000:chi"]
+
+    def test_large_improper_key_is_dropped_without_a_graph(self, tmp_path, monkeypatch):
+        # the last pendant takes its cycle vertex's colour; their rung is the
+        # last edge the family generates
+        colors = self._sunlet_2_colouring(100_000)
+        colors[-1] = colors[99_999]
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:100000:chi": self._entry(colors)})
+        self._forbid_builds(monkeypatch)
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 100_000, "chi") is None
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == {}
 
     def test_keys_no_run_asks_for_are_dropped(self, tmp_path):
         kept = {"helm:3:chi": self._entry([1, 2, 3, 4, 1, 1, 1])}
