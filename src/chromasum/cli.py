@@ -1,8 +1,8 @@
 """Command-line entry point: generate family graphs, solve single
 instances, run verification campaigns, and print prediction tables.
 
-Exit codes: 0 success, 1 usage or file error, 2 budget exhausted,
-3 mismatches found under --strict.
+Exit codes: 0 success, 1 usage or file error (a verify plan with no row
+is a usage error), 2 budget exhausted, 3 mismatches found under --strict.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .solvers import QUANTITIES, BudgetExhausted, SearchBudget
 from .verification import (
     DESK_CAPS,
     ResultsCache,
+    plan_tasks,
     run_campaign,
     solve,
     status_counts,
@@ -105,6 +106,12 @@ def cmd_verify(args) -> int:
     kinds = [f.strip() for f in args.families.split(",") if f.strip()]
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     n_max = args.n_max if args.n_max is not None else dict(DESK_CAPS)
+    if not plan_tasks(kinds, args.n_min, n_max, quantities):
+        upto = "the desk caps" if args.n_max is None else args.n_max
+        raise ValueError(
+            f"nothing to audit: no published formula covers families {','.join(kinds)} "
+            f"with quantities {','.join(quantities)} for n from {args.n_min} to {upto}"
+        )
     budget = SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
     cache_path = os.environ.get("CHROMASUM_CACHE") or os.path.join(args.out, "cache", "results.json")
     cache = ResultsCache(cache_path)

@@ -46,6 +46,14 @@ def brute_force_oracle(
     return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
 
+def _tick(tracker: _Tracker) -> None:
+    """Count one node on the solvers' tracker; raise if the budget is spent.
+    The deadline is read only at every 1,024th node."""
+    tracker.nodes += 1
+    if tracker.nodes > tracker.max_nodes or not tracker.nodes & 0x3FF:
+        tracker.check()
+
+
 def _scan(g: Graph, tracker: _Tracker, need_b: bool) -> tuple[int, list[list[int]]]:
     """chi(G) from 1 up, or phi(G) from max degree + 1 down, with the first
     partition found there.  phi(G) <= max degree + 1, and a b-colouring with
@@ -110,7 +118,7 @@ def _enumerate(g: Graph, k: int, need_b: bool, tracker: _Tracker, on_leaf) -> No
         return True
 
     def rec(v: int, used: int) -> bool:
-        tracker.tick()
+        _tick(tracker)
         if v == n:
             if used != k:
                 return False

@@ -135,13 +135,6 @@ class _Tracker:
         self.deadline = self.t0 + budget.max_time
         self.nodes = 0
 
-    def tick(self):
-        """Count one node; raise if the budget is spent.  The deadline is
-        read only at every 1,024th node."""
-        self.nodes += 1
-        if self.nodes > self.max_nodes or not self.nodes & 0x3FF:
-            self.check()
-
     def check(self) -> int:
         """Raise if the budget is spent at `nodes`: the count is past
         max_nodes or the deadline has passed.  Else return the next count at

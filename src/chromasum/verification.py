@@ -289,7 +289,8 @@ def run_campaign(
     if jobs > 1 and len(group_tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(group_tasks))) as pool:
             solved = list(pool.map(_solve_group, group_tasks))
     else:
         solved = [_solve_group(t) for t in group_tasks]

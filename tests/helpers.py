@@ -4,7 +4,7 @@ import functools
 
 from chromasum.families import make
 from chromasum.graphs import Graph
-from chromasum.oracle import brute_force_oracle
+from chromasum.oracle import _tick, brute_force_oracle
 
 
 def cycle(n):
@@ -153,7 +153,7 @@ def reference_partition(g, k, tracker, require_b, first=False):
 
     def search(v, used):
         nonlocal best_value, best_assign
-        tracker.tick()
+        _tick(tracker)
         if v == n:
             if used != k or (require_b and not leaf_is_b()):
                 return False

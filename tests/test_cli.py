@@ -163,6 +163,21 @@ class TestVerify:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_uncovered_family_is_an_empty_plan(self, tmp_path, capsys):
+        # no formula covers the wheel: nothing is audited, so nothing passes
+        out = tmp_path / "out"
+        assert main(["verify", "--families", "wheel", "--out", str(out), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nothing to audit") and "wheel" in err
+        assert not out.exists()
+
+    def test_uncovered_quantity_is_an_empty_plan(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--quantities", "chi", "--out", str(out), "--jobs", "1", "--strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nothing to audit") and "quantities chi " in err
+        assert not out.exists()
+
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         code = main([
             "verify", "--families", "helm", "--quantities", "sparkle",

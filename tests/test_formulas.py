@@ -23,104 +23,155 @@ VERTICES = {
 
 
 class TestPublishedValues:
-    """Freeze every printed closed-form value."""
+    """Freeze every printed closed-form value, and each formula at n = 100
+    and 101, far past its small-n values, so no slope or intercept can
+    change unseen."""
 
     @pytest.mark.parametrize(
         "n,expected",
-        [(3, 16), (4, 15), (5, 22), (6, 21), (7, 28), (8, 27)],
+        [(3, 16), (4, 15), (5, 22), (6, 21), (7, 28), (8, 27), (100, 303), (101, 310)],
     )
     def test_double_wheel_chi_min(self, n, expected):
         assert predict("double_wheel", "chi_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 19), (4, 21), (5, 33), (6, 31)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 19), (4, 21), (5, 33), (6, 31), (100, 501), (101, 705)],
+    )
     def test_double_wheel_chi_max(self, n, expected):
         assert predict("double_wheel", "chi_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 16), (4, 15), (5, 22), (6, 28), (7, 28), (8, 34)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 16), (4, 15), (5, 22), (6, 28), (7, 28), (8, 34), (100, 310), (101, 310)],
+    )
     def test_double_wheel_b_min(self, n, expected):
         assert predict("double_wheel", "b_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 19), (4, 21), (5, 33), (6, 37), (7, 47)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 19), (4, 21), (5, 33), (6, 37), (7, 47), (100, 695), (101, 705)],
+    )
     def test_double_wheel_b_max(self, n, expected):
         assert predict("double_wheel", "b_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 16), (4, 15), (5, 22), (6, 21)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 16), (4, 15), (5, 22), (6, 21), (100, 303), (101, 310)],
+    )
     def test_helm_chi_min(self, n, expected):
         assert predict("helm", "chi_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 19), (4, 21), (5, 33), (6, 31)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 19), (4, 21), (5, 33), (6, 31), (100, 501), (101, 705)],
+    )
     def test_helm_chi_max(self, n, expected):
         assert predict("helm", "chi_sum_max", n) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
-        [(3, 14), (4, 25), (5, 21), (6, 30), (7, 34), (8, 37), (9, 40)],
+        [(3, 14), (4, 25), (5, 21), (6, 30), (7, 34), (8, 37), (9, 40), (100, 313), (101, 316)],
     )
     def test_helm_b_min(self, n, expected):
         assert predict("helm", "b_sum_min", n) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
-        [(3, 21), (4, 29), (5, 34), (6, 48), (7, 56), (8, 65)],
+        [(3, 21), (4, 29), (5, 34), (6, 48), (7, 56), (8, 65), (100, 893), (101, 902)],
     )
     def test_helm_b_max(self, n, expected):
         assert predict("helm", "b_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 16), (4, 15), (5, 22), (6, 21)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 16), (4, 15), (5, 22), (6, 21), (100, 303), (101, 310)],
+    )
     def test_closed_helm_chi_min(self, n, expected):
         assert predict("closed_helm", "chi_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 19), (4, 21), (5, 33), (6, 31)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 19), (4, 21), (5, 33), (6, 31), (100, 501), (101, 705)],
+    )
     def test_closed_helm_chi_max(self, n, expected):
         assert predict("closed_helm", "chi_sum_max", n) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
-        [(3, 16), (4, 25), (5, 22), (6, 32), (7, 37), (8, 39), (9, 43), (10, 45)],
+        [(3, 16), (4, 25), (5, 22), (6, 32), (7, 37), (8, 39), (9, 43), (10, 45),
+         (100, 315), (101, 319)],
     )
     def test_closed_helm_b_min(self, n, expected):
         assert predict("closed_helm", "b_sum_min", n) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
-        [(3, 19), (4, 29), (5, 33), (6, 47), (7, 53), (8, 63), (9, 71)],
+        [(3, 19), (4, 29), (5, 33), (6, 47), (7, 53), (8, 63), (9, 71), (100, 891), (101, 899)],
     )
     def test_closed_helm_b_max(self, n, expected):
         assert predict("closed_helm", "b_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 12), (4, 12), (5, 18), (6, 18), (7, 24)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 12), (4, 12), (5, 18), (6, 18), (7, 24), (100, 300), (101, 306)],
+    )
     def test_sunlet_chi_min(self, n, expected):
         assert predict("sunlet", "chi_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 12), (4, 12), (5, 22), (6, 18), (7, 32)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 12), (4, 12), (5, 22), (6, 18), (7, 32), (100, 300), (101, 502)],
+    )
     def test_sunlet_chi_max(self, n, expected):
         assert predict("sunlet", "chi_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 10), (4, 20), (5, 17), (6, 26), (7, 29), (8, 32)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 10), (4, 20), (5, 17), (6, 26), (7, 29), (8, 32), (100, 308), (101, 311)],
+    )
     def test_sunlet_b_min(self, n, expected):
         assert predict("sunlet", "b_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 14), (4, 20), (5, 23), (6, 34), (7, 41), (8, 48)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 14), (4, 20), (5, 23), (6, 34), (7, 41), (8, 48), (100, 692), (101, 699)],
+    )
     def test_sunlet_b_max(self, n, expected):
         assert predict("sunlet", "b_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 18), (4, 14), (5, 27), (6, 21), (7, 36)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 18), (4, 14), (5, 27), (6, 21), (7, 36), (100, 350), (101, 459)],
+    )
     def test_web_chi_min(self, n, expected):
         assert predict("web", "chi_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 18), (4, 14), (5, 33), (6, 21), (7, 48)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 18), (4, 14), (5, 33), (6, 21), (7, 48), (100, 350), (101, 753)],
+    )
     def test_web_chi_max(self, n, expected):
         assert predict("web", "chi_sum_max", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 4), (4, 4), (5, 5), (6, 5), (9, 5)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 4), (4, 4), (5, 5), (6, 5), (9, 5), (100, 5), (101, 5)],
+    )
     def test_web_b_chromatic(self, n, expected):
         assert predict("web", "b_chromatic", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 18), (4, 25), (5, 45), (6, 51), (7, 53), (8, 61)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 18), (4, 25), (5, 45), (6, 51), (7, 53), (8, 61), (100, 521), (101, 523)],
+    )
     def test_web_b_min(self, n, expected):
         assert predict("web", "b_sum_min", n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(3, 27), (4, 35), (5, 45), (6, 57), (7, 73), (8, 83)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(3, 27), (4, 35), (5, 45), (6, 57), (7, 73), (8, 83), (100, 1279), (101, 1295)],
+    )
     def test_web_b_max(self, n, expected):
         assert predict("web", "b_sum_max", n) == expected
 
@@ -159,6 +210,17 @@ class TestStructure:
         for n in range(3, 21, 2):
             assert 2 * predict("web", "chi_sum_min", n) == 9 * n + 9
             assert 2 * predict("web", "chi_sum_max", n) == 15 * n - 9
+        # every branch of every entry with a divisor divides exactly, so the
+        # floor division in predict never truncates
+        halved = [e for e in _ENTRIES if e.divisor > 1]
+        assert [(e.family, e.quantity) for e in halved] == [
+            ("web", "chi_sum_min"),
+            ("web", "chi_sum_max"),
+        ]
+        for entry in halved:
+            for n in range(MIN_N, 41):
+                a, b = entry.odd if n % 2 else entry.even
+                assert (a * n + b) % entry.divisor == 0, (entry.quantity, n)
 
 
 class TestCoverage:

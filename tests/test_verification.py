@@ -242,6 +242,33 @@ class TestRunCampaign:
             (5, "aborted", 32),
         ]
 
+    def test_pool_starts_no_more_workers_than_groups(self, monkeypatch):
+        # a forked pool starts max_workers processes at its first submit, so
+        # the cap is what the pool is built with; this one runs serially
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = (["web"], 3, 4, ["b_sum_min"])
+        no_millis = lambda rows: [dataclasses.replace(r, elapsed_ms=0) for r in rows]
+        pooled = run_campaign(*args, jobs=4)
+        assert started == [2]  # web:3 and web:4
+        assert no_millis(pooled) == no_millis(run_campaign(*args, jobs=1))
+
 
 class TestCache:
     def test_warm_rerun_is_byte_identical(self, tmp_path):
