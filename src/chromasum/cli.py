@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
         budget=budget,
         out_dir=args.out,
         cache=cache,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
     formats = ("csv", "json", "markdown") if args.format == "all" else (args.format,)
     write_reports(rows, args.out, formats)

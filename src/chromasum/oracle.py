@@ -30,6 +30,8 @@ def brute_force_oracle(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
+    if g.n == 0:
+        raise ValueError("colouring quantities of the empty graph are undefined here")
     tracker = _Tracker(budget or SearchBudget())
 
     if quantity in ("chi", "b_chromatic"):

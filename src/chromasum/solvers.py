@@ -88,9 +88,10 @@ class SearchBudget:
     max_time: float = 300.0
 
     def __post_init__(self):
-        # a NaN deadline is never passed, so the search would run unbounded
-        if math.isnan(self.max_time):
-            raise ValueError("time budget must be a number, got nan")
+        # a NaN deadline is never passed, nor a fractional node count met, so
+        # the search would run unbounded
+        if math.isnan(self.max_time) or type(self.max_nodes) is not int:
+            raise ValueError(f"budgets must be an int and a number, got {self.max_nodes!r} nodes and {self.max_time} s")
         # 0 is valid: it aborts every search, so a run serves only cached rows
         if self.max_nodes < 0 or self.max_time < 0:
             raise ValueError(f"budgets must be >= 0, got {self.max_nodes} nodes and {self.max_time} s")
@@ -257,8 +258,7 @@ def _partition(
     W of the sorted sizes is carried down the search: with `above[s]` the
     number of opened classes larger than s, growing a class from s to s+1
     moves it to rank above[s]+1 and adds that rank to W.  The completion's
-    weight is then lb = W + P + need*used + need*(need+1)/2 in O(1), and W
-    at a leaf is its min labelled sum.
+    weight is then lb = W + P + need*used + need*(need+1)/2 in O(1).
 
     Capacity bound, tried when lb alone does not prune: the min-labelled sum
     of sizes s_1 >= ... >= s_k is sum(i*s_i) = sum over j < k of (n - S_j),
@@ -295,8 +295,7 @@ def _partition(
     `good` of eligible w with slack[w] >= 0 is an argument of `search`, and
     a child clears w's bit when w's slack drops below 0.  Class c is
     feasible if good meets c or meets the unassigned vertices outside
-    sees[c].  At a leaf nothing is unassigned, so the same test is the
-    b-colouring check: w is in good iff it sees all k-1 other classes.
+    sees[c].  At a leaf, w is in good iff it sees all k-1 other classes.
 
     Distinct b-vertex count: every class needs its own b-vertex, and no
     vertex dominates two classes.  An opened class that good does not meet,
@@ -304,6 +303,13 @@ def _partition(
     free = good & unassigned, so the node is cut when those classes
     outnumber popcount(free): the counting form of Hall's condition, one
     counter and one popcount in the per-class loop above.
+
+    Leaves: a leaf (v = n) takes the node tests, each its leaf condition
+    with nothing unassigned: need > rem keeps it only if all k classes are
+    opened; lb = W, its min-labelled sum, only if it beats the incumbent,
+    when its largest class (top > W + top - best = limit) passes the
+    capacity cut; with free = 0 the b-test is the b-colouring check.  The
+    root has no incumbent, and its b-test cannot cut: >= k are eligible.
 
     Node count: `search` counts nodes in a local and hands the count to the
     tracker, which reads the deadline, at its first node and then only at
@@ -368,21 +374,11 @@ def _partition(
             alarm = tracker.check()
         if v == cut and not lex_leader():
             return False
-        if v == n:
-            if used != k:
-                return False
-            if require_b:
-                for mc in masks:
-                    if not good & mc:
-                        return False
-            if best_value is None or weight < best_value:
-                best_value, best_assign = weight, assign.copy()
-            return first
         need = k - used
         rem = n - v
         if need > rem:
             return False
-        if best_value is not None and used:
+        if best_value is not None:
             spare = rem - need
             lb = weight + spare + need * used + need * (need + 1) // 2
             if lb >= best_value:
@@ -399,7 +395,7 @@ def _partition(
                         break
                 else:
                     return False
-        if require_b and used:
+        if require_b:
             free = good & tails[v]
             # classes that must take their b-vertex from `free`, one each
             short = need
@@ -410,6 +406,9 @@ def _partition(
                     short += 1
             if short > free.bit_count():
                 return False
+        if v == n:
+            best_value, best_assign = weight, assign.copy()
+            return first
         av = adj[v]
         vbit = 1 << v
         watch = watched[v]
@@ -475,13 +474,13 @@ def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
 @functools.lru_cache(maxsize=4)
 def _graph_tables(g: Graph) -> tuple[list[int], list[int], int, list[tuple[int, ...]]]:
     """What `_partition` reads of g alone, built once per graph object: the
-    unassigned vertices v..n-1 at each v, their independence numbers
+    unassigned vertices v..n-1 at each v = 0..n, their independence numbers
     (`_suffix_alpha`), and the lex-leader depth and images.  Keyed to the
     object (a Graph hashes by identity), so a campaign that builds its
     graphs afresh pays for their tables once each.  Every search of g
     shares them, and none writes to them."""
     n = g.n
-    tails = [((1 << n) - 1) >> v << v for v in range(n)]
+    tails = [((1 << n) - 1) >> v << v for v in range(n + 1)]
     return (tails, _suffix_alpha(g), *_lex_leader_cut(g))
 
 

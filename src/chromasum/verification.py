@@ -259,6 +259,8 @@ def run_campaign(
     cache: ResultsCache | None = None,
     jobs: int = 1,
 ) -> list[VerificationRow]:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     budget = budget or SearchBudget()
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
     # made and listed before any search, so a run that cannot write its

@@ -178,6 +178,13 @@ class TestVerify:
         assert err.startswith("error: nothing to audit") and "quantities chi " in err
         assert not out.exists()
 
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for jobs in ("0", "-5"):
+            assert main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", jobs]) == 1
+            assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+        assert not out.exists()
+
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         code = main([
             "verify", "--families", "helm", "--quantities", "sparkle",

@@ -20,6 +20,10 @@ class TestColoringType:
     def test_rejects_unused_colour(self):
         with pytest.raises(ValueError, match="unused"):
             Coloring(3, [1, 2, 1])
+        # k beyond the vertex count is rejected before anything is built per
+        # colour, so a decoded k costs no memory of its own
+        with pytest.raises(ValueError, match="unused"):
+            Coloring.from_json({"k": 10**12, "colors": [1]})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from helpers import complete_graph, cycle, oracle_value
 
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import FAMILY_KINDS, MIN_N, make
+from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import QUANTITIES, BudgetExhausted, SearchBudget
 from chromasum.verification import solve
@@ -58,6 +59,12 @@ class TestWitnesses:
 def test_unknown_quantity():
     with pytest.raises(ValueError):
         brute_force_oracle(cycle(3), "nope")
+
+
+def test_empty_graph_rejected_as_the_solver_rejects_it():
+    for quantity in ("chi", "b_sum_min"):
+        with pytest.raises(ValueError, match="empty graph are undefined"):
+            brute_force_oracle(Graph(0, []), quantity)
 
 
 def test_budget_exhaustion():

@@ -217,6 +217,17 @@ class TestBudget:
         # 0 aborts every search, so a run serves only its cached rows
         assert SearchBudget(max_nodes=0, max_time=0.0).max_nodes == 0
 
+    def test_node_budget_must_be_an_int(self):
+        # the search checks its budgets only when its count meets the next
+        # check, so past 100.5 it would never check them again; a bool or an
+        # integral float is no node count either
+        for bad in (100.5, 1e6, True):
+            with pytest.raises(ValueError, match="int"):
+                SearchBudget(max_nodes=bad)
+        with pytest.raises(BudgetExhausted, match="node budget exhausted") as info:
+            b_sum(make("web", 7), "min", budget=SearchBudget(max_nodes=100))
+        assert info.value.nodes_explored == 101
+
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):
             b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))

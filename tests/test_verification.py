@@ -91,6 +91,13 @@ class TestRunCampaign:
             run_campaign(["sunlet"], 3, 4, ["chi_sum_min"], out_dir=out)
         assert calls == []
 
+    def test_jobs_below_one_rejected_before_any_directory(self, tmp_path):
+        out = tmp_path / "out"
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], out_dir=out, jobs=jobs)
+        assert not out.exists()
+
     def test_witnesses_written_and_valid(self, tmp_path):
         rows = run_campaign(["web"], 3, 3, ["b_sum_min", "b_chromatic"], out_dir=tmp_path)
         for row in rows:
@@ -338,6 +345,16 @@ class TestCache:
         assert cache.get("sunlet", 3, "chi_sum_min") is None
         rows = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
         assert rows[0].computed == 10
+
+    def test_entry_with_a_huge_k_is_dropped(self, tmp_path):
+        # a few bytes that claim 10**12 colours over six vertices: rejected
+        # before anything is built per colour, and the other entry is kept
+        path = tmp_path / "results.json"
+        huge = {"witness": {"k": 10**12, "colors": [1] * 6}, "nodes": 1, "millis": 1}
+        self._write(path, {"sunlet:3:chi": huge, "sunlet:3:chi_sum_min": self._entry([1, 2, 3, 2, 3, 1])})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 3, "chi") is None
+        assert cache.get("sunlet", 3, "chi_sum_min").value == 12
 
     @pytest.mark.parametrize("field, value", [
         ("nodes", 1), ("nodes", "1"), ("millis", True), ("nodes", 1.0), ("witness", {"k": 3.0, "colors": [1, 2, 3, 2, 3, 1]}),
