@@ -25,8 +25,7 @@ class Coloring:
         k, colors = self.k, tuple(self.colors)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # every colour is used, so k > len(colors) leaves some unused; checked
-        # before anything is built per colour, so a huge k costs nothing
+        # checked before anything is built per colour, so a huge k costs nothing
         if k > len(colors):
             raise ValueError(f"k = {k} exceeds {len(colors)} vertices, so some colours are unused")
         used = set()

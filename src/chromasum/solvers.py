@@ -88,8 +88,7 @@ class SearchBudget:
     max_time: float = 300.0
 
     def __post_init__(self):
-        # a NaN deadline is never passed, nor a fractional node count met, so
-        # the search would run unbounded
+        # the search would never abort at a NaN deadline or a fractional count
         if math.isnan(self.max_time) or type(self.max_nodes) is not int:
             raise ValueError(f"budgets must be an int and a number, got {self.max_nodes!r} nodes and {self.max_time} s")
         # 0 is valid: it aborts every search, so a run serves only cached rows
@@ -305,11 +304,11 @@ def _partition(
     counter and one popcount in the per-class loop above.
 
     Leaves: a leaf (v = n) takes the node tests, each its leaf condition
-    with nothing unassigned: need > rem keeps it only if all k classes are
-    opened; lb = W, its min-labelled sum, only if it beats the incumbent,
-    when its largest class (top > W + top - best = limit) passes the
-    capacity cut; with free = 0 the b-test is the b-colouring check.  The
-    root has no incumbent, and its b-test cannot cut: >= k are eligible.
+    once nothing is unassigned: need > rem = 0 unless all k classes are
+    opened; lb = W must beat the incumbent, and then its largest class
+    exceeds limit = W + top - best and stops the capacity cut; with free = 0
+    the b-test is the b-colouring check.  Neither guard reads `used`: the
+    root has no incumbent, and its >= k eligible vertices pass its b-test.
 
     Node count: `search` counts nodes in a local and hands the count to the
     tracker, which reads the deadline, at its first node and then only at
