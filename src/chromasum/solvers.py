@@ -322,7 +322,10 @@ def _partition(
     Once at depth d, for each p other than the identity, the image prefix
     assign[p[j]], j < d, is renumbered by first appearance; if it is
     lex-smaller than assign[:d], no completion of this prefix is lex-least
-    in its orbit, and the subtree is cut.
+    in its orbit, and the subtree is cut.  It costs O(|images| * d), so it
+    runs after the O(k) node tests above: those read the state and write
+    none, and a node is counted on entry, so the order of the tests changes
+    which test cuts a node, never which nodes are cut or counted.
     """
     n, adj = g.n, g.adj
     masks = [0] * k
@@ -371,8 +374,6 @@ def _partition(
         if nodes == alarm:
             tracker.nodes = nodes
             alarm = tracker.check()
-        if v == cut and not lex_leader():
-            return False
         need = k - used
         rem = n - v
         if need > rem:
@@ -405,6 +406,8 @@ def _partition(
                     short += 1
             if short > free.bit_count():
                 return False
+        if v == cut and not lex_leader():
+            return False
         if v == n:
             best_value, best_assign = weight, assign.copy()
             return first

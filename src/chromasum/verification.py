@@ -7,6 +7,13 @@ work is the search: a campaign plans, looks up, runs and caches only the
 searches its rows are read from (`solvers.SEARCH_OF`), and reads each row
 off its search's outcome.  A *_sum_max row is the max twin of its solved
 *_sum_min search, or the same BudgetExhausted when that search aborted.
+The (family, n) groups a run must solve are dispatched largest graph first
+(by vertex count, ties in plan order), so the longest searches do not start
+last.  A pooled run writes a group's witness files as soon as the group is
+solved, and those of groups the cache served entirely once every group is
+dispatched, so the writes overlap the workers' searches; a serial run
+writes them all after its last search.  A pooled run that fails cancels the
+groups no worker has started before it raises, and saves no cache.
 Rows are produced in a fixed (family, n, quantity) order regardless of how
 worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
@@ -265,47 +272,82 @@ def run_campaign(
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
     # made and listed before any search, so a run that cannot write its
     # witnesses fails before it solves anything
-    witness_dir = None
+    witness_dir, present = None, None
     if out_dir is not None:
         witness_dir = Path(out_dir) / "witnesses"
         witness_dir.mkdir(parents=True, exist_ok=True)
         present = set(os.listdir(witness_dir))
 
-    # the searches each (family, n) needs, in order and once each
-    searches: dict[tuple[str, int], dict[str, None]] = {}
+    # each (family, n)'s quantities in plan order, and the outcomes of the
+    # searches they are read from, once each
+    groups: dict[tuple[str, int], list[str]] = {}
     for family, n, quantity in tasks:
-        searches.setdefault((family, n), {})[SEARCH_OF[quantity]] = None
-    outcomes: dict[tuple[str, int, str], SumResult | BudgetExhausted] = {}
-    group_tasks = []
-    for (family, n), wanted in sorted(searches.items()):
+        groups.setdefault((family, n), []).append(quantity)
+    found: dict[tuple[str, int], dict[str, SumResult | BudgetExhausted]] = {}
+    served, group_tasks = [], []
+    for (family, n), quantities in groups.items():
+        found[(family, n)] = outcomes = {}
         missing = []
-        for search in wanted:
+        for search in dict.fromkeys(SEARCH_OF[q] for q in quantities):
             hit = cache.get(family, n, search) if cache is not None else None
             if hit is None:
                 missing.append(search)
             else:
-                outcomes[(family, n, search)] = hit
+                outcomes[search] = hit
         if missing:
             group_tasks.append((family, n, tuple(missing), budget))
+        else:
+            served.append((family, n))
+    # largest graph first, ties in plan order: the longest searches start
+    # while every worker is still free (Graham's LPT rule)
+    group_tasks.sort(key=lambda task: -families.order(task[0], task[1]))
 
+    def record(family, n, result_map):
+        found[(family, n)].update(result_map)
+        if cache is not None:
+            for search, outcome in result_map.items():
+                if isinstance(outcome, SumResult):
+                    cache.put(family, n, search, outcome)
+
+    rows_of: dict[tuple[str, int], list[VerificationRow]] = {}
     if jobs > 1 and len(group_tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+        # only pooled runs pay this import
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(group_tasks))) as pool:
-            solved = list(pool.map(_solve_group, group_tasks))
+            try:
+                futures = {pool.submit(_solve_group, task): task[:2] for task in group_tasks}
+                # each group's witnesses are written while the workers search
+                for key in served:
+                    rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+                for future in as_completed(futures):
+                    key = futures[future]
+                    record(*key, future.result())
+                    rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+            except BaseException:
+                # the queued groups would otherwise all run before it surfaces
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        solved = [_solve_group(t) for t in group_tasks]
-    for (family, n, _, _), result_map in zip(group_tasks, solved):
-        for search, outcome in result_map.items():
-            outcomes[(family, n, search)] = outcome
-            if cache is not None and isinstance(outcome, SumResult):
-                cache.put(family, n, search, outcome)
+        for task in group_tasks:
+            record(task[0], task[1], _solve_group(task))
+        for key, quantities in groups.items():
+            rows_of[key] = _group_rows(*key, quantities, found[key], witness_dir, present)
+    rows = [row for key in groups for row in rows_of[key]]
+    if cache is not None:
+        cache.save()
+    return rows
 
+
+def _group_rows(family, n, quantities, outcomes, witness_dir, present) -> list[VerificationRow]:
+    """The rows of one (family, n), one per quantity, each read off its
+    search's outcome, and the witness file of each solved row written into
+    witness_dir (none when it is None)."""
     rows = []
-    for family, n, quantity in tasks:
+    for quantity in quantities:
         predicted = formulas.predict(family, quantity, n)
-        outcome = outcomes[(family, n, SEARCH_OF[quantity])]
+        outcome = outcomes[SEARCH_OF[quantity]]
         if isinstance(outcome, SumResult) and outcome.quantity != quantity:
             outcome = max_twin(outcome)
         computed, status, witness_rel = None, "aborted", ""
@@ -322,8 +364,6 @@ def run_campaign(
                 outcome.nodes_explored, outcome.elapsed_ms,
             )
         )
-    if cache is not None:
-        cache.save()
     return rows
 
 

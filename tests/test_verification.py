@@ -266,8 +266,10 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         args = (["web"], 3, 4, ["b_sum_min"])
@@ -275,6 +277,105 @@ class TestRunCampaign:
         pooled = run_campaign(*args, jobs=4)
         assert started == [2]  # web:3 and web:4
         assert no_millis(pooled) == no_millis(run_campaign(*args, jobs=1))
+
+    @staticmethod
+    def _pool(submitted, shutdowns, fail_at=None):
+        """A pool class that runs each submitted group at once, in this
+        process, recording its (family, n) and each shutdown's
+        cancel_futures; the submit numbered fail_at raises from its future."""
+        import concurrent.futures
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                if len(submitted) == fail_at:
+                    future.set_exception(RuntimeError("worker failed"))
+                else:
+                    future.set_result(fn(task))
+                submitted.append(task[:2])
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        return RecordingPool
+
+    def test_largest_graph_is_submitted_first(self, monkeypatch):
+        # by vertex count (web:4 has 12, web:3 9, sunlet:4 8, sunlet:3 6);
+        # helm:3 and closed_helm:3 both have 7, so they keep plan order
+        import concurrent.futures
+
+        submitted = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self._pool(submitted, []))
+        run_campaign(["sunlet", "web"], 3, 4, ["b_sum_min"], jobs=2)
+        assert submitted == [("web", 4), ("web", 3), ("sunlet", 4), ("sunlet", 3)]
+        submitted.clear()
+        run_campaign(["closed_helm", "helm"], 3, 3, ["b_sum_min"], jobs=2)
+        assert submitted == [("helm", 3), ("closed_helm", 3)]
+
+    def test_completion_order_changes_no_output(self, tmp_path, monkeypatch):
+        # a real pool whose groups are handled last submitted first; the
+        # cache serves sunlet:3 whole, so a served group is written too
+        import concurrent.futures
+
+        def last_first(fs):
+            fs = list(fs)
+            concurrent.futures.wait(fs)
+            handled.append(len(fs))
+            return reversed(fs)
+
+        def outputs(out, rows):
+            write_reports([dataclasses.replace(r, elapsed_ms=0) for r in rows], out)
+            cache = json.loads((out / "cache.json").read_text())
+            for entry in cache["entries"].values():
+                entry["millis"] = 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            files[Path("cache.json")] = json.dumps(cache, sort_keys=True).encode()
+            return files
+
+        handled = []
+        args = (["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min", "b_sum_max"])
+        runs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_campaign(["sunlet"], 3, 3, ALL_QUANTITIES, cache=ResultsCache(out / "cache.json"))
+            with monkeypatch.context() as m:
+                m.setattr(concurrent.futures, "as_completed", last_first)
+                rows = run_campaign(*args, out_dir=out, cache=ResultsCache(out / "cache.json"), jobs=jobs)
+            runs[jobs] = outputs(out, rows)
+        assert handled == [3]  # web:4, web:3 and sunlet:4
+        assert runs[1] == runs[2]
+
+    def test_failed_pool_cancels_queued_groups_and_saves_no_cache(self, tmp_path, monkeypatch):
+        # the second group's search raises: the groups not started are
+        # cancelled, and each witness written before is whole
+        import concurrent.futures
+
+        submitted, shutdowns = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self._pool(submitted, shutdowns, 1))
+        monkeypatch.setattr(concurrent.futures, "as_completed", list)
+        cache_path = tmp_path / "cache" / "results.json"
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_campaign(
+                ["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min"],
+                out_dir=tmp_path, cache=ResultsCache(cache_path), jobs=2,
+            )
+        assert shutdowns == [True]
+        assert not cache_path.exists()
+        written = sorted((tmp_path / "witnesses").iterdir())
+        assert [p.name for p in written] == ["web-4-b_sum_min.json", "web-4-chi_sum_min.json"]
+        for path in written:
+            witness = Coloring.from_json(json.loads(path.read_text()))
+            assert len(witness.colors) == families.order("web", 4)
 
 
 class TestCache:
