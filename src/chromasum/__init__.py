@@ -24,8 +24,9 @@ from .solvers import (
     chi_sum,
     chromatic_number,
     m_bound,
+    solve,
 )
-from .verification import ResultsCache, VerificationRow, render_report, run_campaign, solve
+from .verification import ResultsCache, VerificationRow, render_report, run_campaign
 
 __all__ = [
     "Coloring",

@@ -14,13 +14,12 @@ import sys
 
 from . import families, formulas
 from .graphs import to_dot, to_edgelist
-from .solvers import QUANTITIES, BudgetExhausted, SearchBudget
+from .solvers import QUANTITIES, BudgetExhausted, SearchBudget, solve
 from .verification import (
     DESK_CAPS,
+    REPORT_FORMATS,
     ResultsCache,
-    plan_tasks,
     run_campaign,
-    solve,
     status_counts,
     summary_line,
     write_reports,
@@ -62,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(QUANTITIES),
         help="comma-separated quantities (default: all)",
     )
-    ver.add_argument("--format", default="all", choices=("csv", "json", "markdown", "all"))
+    ver.add_argument("--format", default="all", choices=(*REPORT_FORMATS, "all"))
     ver.add_argument("--out", default="chromasum_report", help="report/witness output directory")
     ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     ver.add_argument("--strict", action="store_true", help="exit 3 if any row mismatches")
@@ -106,12 +105,6 @@ def cmd_verify(args) -> int:
     kinds = [f.strip() for f in args.families.split(",") if f.strip()]
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     n_max = args.n_max if args.n_max is not None else dict(DESK_CAPS)
-    if not plan_tasks(kinds, args.n_min, n_max, quantities):
-        upto = "the desk caps" if args.n_max is None else args.n_max
-        raise ValueError(
-            f"nothing to audit: no published formula covers families {','.join(kinds)} "
-            f"with quantities {','.join(quantities)} for n from {args.n_min} to {upto}"
-        )
     budget = SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
     cache_path = os.environ.get("CHROMASUM_CACHE") or os.path.join(args.out, "cache", "results.json")
     cache = ResultsCache(cache_path)
@@ -125,8 +118,7 @@ def cmd_verify(args) -> int:
         cache=cache,
         jobs=args.jobs,
     )
-    formats = ("csv", "json", "markdown") if args.format == "all" else (args.format,)
-    write_reports(rows, args.out, formats)
+    write_reports(rows, args.out, tuple(REPORT_FORMATS) if args.format == "all" else (args.format,))
     print(summary_line(rows))
     counts = status_counts(rows)
     if args.strict and counts["mismatches"]:

@@ -51,8 +51,11 @@ its k for chi and b_chromatic (`witness_value`).
 A budget bounds the nodes and wall time of one call, its scan included;
 exhausting either raises, it never degrades to a wrong answer.  The one
 step outside it, building a graph's tables before the first node, is
-bounded work on any graph: its independence numbers are exact up to a
-fixed memo size and upper bounds past it (`_suffix_alpha`).
+bounded work on any graph, as each of its two tables has a fixed limit:
+its independence numbers are exact up to `_ALPHA_MEMO_LIMIT` memoised
+masks and upper bounds past it (`_suffix_alpha`), and a ring whose
+lex-leader images would hold more than `_LEX_TABLE_LIMIT` entries is
+searched without the cut (`_lex_leader_cut`).
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "7"
+SOLVER_VERSION = "8"
 
 # The search each quantity's row is read from.  A *_sum_max row is its
 # *_sum_min search relabelled (`max_twin`); every other quantity is a search.
@@ -159,24 +162,24 @@ def m_bound(g: Graph) -> int:
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     """Exact chi(G): the least k with a partition into k independent classes."""
-    return _solve(g, "chi", budget)
+    return solve(g, "chi", budget)
 
 
 def chi_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over proper colourings with
     exactly chi(G) colours."""
-    return _solve(g, f"chi_sum_{direction}", budget)
+    return solve(g, f"chi_sum_{direction}", budget)
 
 
 def b_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> SumResult:
     """Exact phi(G): largest k <= m(G) admitting a b-colouring with k colours."""
-    return _solve(g, "b_chromatic", budget)
+    return solve(g, "b_chromatic", budget)
 
 
 def b_sum(g: Graph, direction: str, budget: SearchBudget | None = None) -> SumResult:
     """Exact extremum of the colouring sum over b-colourings with exactly
     phi(G) colours."""
-    return _solve(g, f"b_sum_{direction}", budget)
+    return solve(g, f"b_sum_{direction}", budget)
 
 
 def witness_value(quantity: str, witness: Coloring) -> int:
@@ -193,7 +196,7 @@ def max_twin(result: SumResult) -> SumResult:
     return SumResult(quantity, witness_value(quantity, witness), witness, result.nodes_explored, result.elapsed_ms)
 
 
-def _solve(g: Graph, quantity: str, budget: SearchBudget | None) -> SumResult:
+def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
     """One quantity of g under one budget: its search's scan, whose last
     partition is labelled for the min, and for a *_sum_max its max twin."""
     if quantity not in SEARCH_OF:
@@ -464,13 +467,24 @@ def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     """Depth d of the lex-leader check, the hub and ring 0 of g's ring
     layout (hub, m), and the distinct restrictions to 0..d-1 of its
     symmetries i -> s + i and i -> s - i (mod m) other than the identity.
-    (-1, []) for a graph without a ring layout, and no cut."""
+    (-1, []) for a graph without a ring layout, and no cut; so too where
+    the 2m images of d vertices each would exceed `_LEX_TABLE_LIMIT`, as
+    the cut only saves nodes: values and witnesses are the same without it."""
     if g.rings is None:
         return -1, []
     hub, m = g.rings
     d = hub + m
+    if 2 * m * d > _LEX_TABLE_LIMIT:
+        return -1, []
     images = {(*range(hub), *(hub + (s + sign * i) % m for i in range(m))) for s in range(m) for sign in (1, -1)}
     return d, sorted(images - {tuple(range(d))})
+
+
+# Most vertex entries the lex-leader images of one graph may hold.  Every
+# family with rings of up to 700 vertices needs fewer (dw:89 needs 16,020),
+# and the limit bounds the table's work and memory on any larger ring,
+# whose O(m^2) images would take seconds and hundreds of MB to build.
+_LEX_TABLE_LIMIT = 1 << 20
 
 
 @functools.lru_cache(maxsize=4)

@@ -7,13 +7,19 @@ work is the search: a campaign plans, looks up, runs and caches only the
 searches its rows are read from (`solvers.SEARCH_OF`), and reads each row
 off its search's outcome.  A *_sum_max row is the max twin of its solved
 *_sum_min search, or the same BudgetExhausted when that search aborted.
+A plan with no row is a ValueError, raised before any directory is made.
+Each search a run solves is one call of its solver, `chromatic_number`,
+`chi_sum`, `b_chromatic_number` or `b_sum`, looked up in this module's
+namespace (`_search`), and a search the cache serves calls none.
 The (family, n) groups a run must solve are dispatched largest graph first
 (by vertex count, ties in plan order), so the longest searches do not start
-last.  A pooled run writes a group's witness files as soon as the group is
-solved, and those of groups the cache served entirely once every group is
-dispatched, so the writes overlap the workers' searches; a serial run
-writes them all after its last search.  A pooled run that fails cancels the
-groups no worker has started before it raises, and saves no cache.
+last.  Every group, served or solved, is finished in one place: its
+outcomes recorded and cached, its rows built and its witness files written.
+A pooled run finishes the groups the cache served entirely once every group
+is dispatched, and each solved group as soon as it returns, so the writes
+overlap the workers' searches; a serial run finishes them all after its
+last search.  A pooled run that fails cancels the groups no worker has
+started before it raises, and saves no cache.
 Rows are produced in a fixed (family, n, quantity) order regardless of how
 worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
@@ -58,8 +64,6 @@ CACHE_VERSION = 2
 # Default largest cycle parameter per family for a desk-scale campaign.
 DESK_CAPS = {"double_wheel": 7, "helm": 7, "closed_helm": 7, "sunlet": 8, "web": 5}
 
-REPORT_FILES = {"csv": "report.csv", "json": "report.json", "markdown": "report.md"}
-
 
 @dataclass(frozen=True)
 class VerificationRow:
@@ -97,10 +101,11 @@ class ResultsCache:
     The file records CACHE_VERSION and SOLVER_VERSION once; a file with
     either different, or one that is corrupt, is discarded with a warning
     and rebuilt.  Each entry is checked once, when the file is loaded, and
-    kept only if a run can ask for its key, its witness decodes, and the
-    witness colours the key's family properly (for a b search, as a
-    b-colouring), checked against the family's edges without building its
-    graph (`_is_witness`), so no key costs more memory than its witness.
+    kept only if a run can ask for its key, its node and millisecond counts
+    are ints of at least 0, its witness decodes, and the witness colours
+    the key's family properly (for a b search, as a b-colouring), checked
+    against the family's edges without building its graph (`_is_witness`),
+    so no key costs more memory than its witness.
     No entry that fails is served or saved again.  `put` stores the
     solver's own results as they are."""
 
@@ -131,7 +136,7 @@ class ResultsCache:
                     continue  # a key no run asks for
                 witness = Coloring.from_json(entry["witness"])
                 counts = entry["nodes"], entry["millis"]
-                if any(type(c) is not int for c in counts):
+                if any(type(c) is not int or c < 0 for c in counts):
                     continue
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
@@ -186,32 +191,27 @@ def _write_if_changed(path: Path, text: str, present: set[str] | None = None):
         raise
 
 
-def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
-    """One quantity of g, solved under one budget.  The solvers are looked up
-    in this module's namespace, so a wrapper set on one of them sees every
-    call."""
-    if quantity == "chi":
+def _search(g: Graph, search: str, budget: SearchBudget) -> SumResult:
+    """One of the four searches of `SEARCH_OF` on g.  Its solver is looked
+    up in this module's namespace, so a wrapper set on one of them sees
+    every search a campaign runs."""
+    if search == "chi":
         return chromatic_number(g, budget)
-    if quantity == "b_chromatic":
+    if search == "b_chromatic":
         return b_chromatic_number(g, budget)
-    if quantity in ("chi_sum_min", "chi_sum_max"):
-        return chi_sum(g, quantity.rsplit("_", 1)[1], budget)
-    if quantity in ("b_sum_min", "b_sum_max"):
-        return b_sum(g, quantity.rsplit("_", 1)[1], budget)
-    raise ValueError(f"unknown quantity {quantity!r}")
+    return (chi_sum if search == "chi_sum_min" else b_sum)(g, "min", budget)
 
 
 def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
-    """Run the given searches of one (family, n), each one solve call on its
-    own budget, and map each search to its result or to the BudgetExhausted
-    that aborted it; both pickle, so they cross the process pool as they
-    are."""
+    """Run the given searches of one (family, n), each on its own budget,
+    and map each search to its result or to the BudgetExhausted that
+    aborted it; both pickle, so they cross the process pool as they are."""
     family, n, searches, budget = task
     g = families.make(family, n)
     out: dict[str, SumResult | BudgetExhausted] = {}
     for search in searches:
         try:
-            out[search] = solve(g, search, budget)
+            out[search] = _search(g, search, budget)
         except BudgetExhausted as exc:
             out[search] = exc
     return out
@@ -270,6 +270,11 @@ def run_campaign(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     budget = budget or SearchBudget()
     tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
+    if not tasks:  # so an audit of nothing cannot pass
+        raise ValueError(
+            f"nothing to audit: no published formula covers families {','.join(family_kinds)} "
+            f"with quantities {','.join(quantities)} for n from {n_min} to {n_max}"
+        )
     # made and listed before any search, so a run that cannot write its
     # witnesses fails before it solves anything
     witness_dir, present = None, None
@@ -302,14 +307,17 @@ def run_campaign(
     # while every worker is still free (Graham's LPT rule)
     group_tasks.sort(key=lambda task: -families.order(task[0], task[1]))
 
-    def record(family, n, result_map):
-        found[(family, n)].update(result_map)
-        if cache is not None:
-            for search, outcome in result_map.items():
-                if isinstance(outcome, SumResult):
-                    cache.put(family, n, search, outcome)
-
     rows_of: dict[tuple[str, int], list[VerificationRow]] = {}
+
+    def finish(key, outcomes):
+        """Record and cache a group's new outcomes, and build its rows."""
+        found[key].update(outcomes)
+        if cache is not None:
+            for search, outcome in outcomes.items():
+                if isinstance(outcome, SumResult):
+                    cache.put(*key, search, outcome)
+        rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+
     if jobs > 1 and len(group_tasks) > 1:
         # only pooled runs pay this import
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -320,20 +328,18 @@ def run_campaign(
                 futures = {pool.submit(_solve_group, task): task[:2] for task in group_tasks}
                 # each group's witnesses are written while the workers search
                 for key in served:
-                    rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+                    finish(key, {})
                 for future in as_completed(futures):
-                    key = futures[future]
-                    record(*key, future.result())
-                    rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+                    finish(futures[future], future.result())
             except BaseException:
                 # the queued groups would otherwise all run before it surfaces
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        for task in group_tasks:
-            record(task[0], task[1], _solve_group(task))
-        for key, quantities in groups.items():
-            rows_of[key] = _group_rows(*key, quantities, found[key], witness_dir, present)
+        # every search before the first write, which between them was slower
+        solved = {task[:2]: _solve_group(task) for task in group_tasks}
+        for key in groups:
+            finish(key, solved.get(key, {}))
     rows = [row for key in groups for row in rows_of[key]]
     if cache is not None:
         cache.save()
@@ -382,13 +388,9 @@ def summary_line(rows) -> str:
 
 
 def render_report(rows, fmt: str) -> str:
-    if fmt == "csv":
-        return _render_csv(rows)
-    if fmt == "json":
-        return _render_json(rows)
-    if fmt == "markdown":
-        return _render_markdown(rows)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return REPORT_FORMATS[fmt][1](rows)
 
 
 def _render_csv(rows) -> str:
@@ -435,8 +437,17 @@ def _render_markdown(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_reports(rows, out_dir: str | os.PathLike, formats=("csv", "json", "markdown")) -> list[Path]:
-    unknown = [fmt for fmt in formats if fmt not in REPORT_FILES]
+# Each report format, the one list of them: its file and its renderer.
+REPORT_FORMATS = {
+    "csv": ("report.csv", _render_csv),
+    "json": ("report.json", _render_json),
+    "markdown": ("report.md", _render_markdown),
+}
+REPORT_FILES = {fmt: name for fmt, (name, _) in REPORT_FORMATS.items()}
+
+
+def write_reports(rows, out_dir: str | os.PathLike, formats=tuple(REPORT_FORMATS)) -> list[Path]:
+    unknown = [fmt for fmt in formats if fmt not in REPORT_FORMATS]
     if unknown:  # before any file is written
         raise ValueError(f"unknown report formats: {unknown}")
     out = Path(out_dir)

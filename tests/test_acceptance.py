@@ -17,12 +17,11 @@ from chromasum.cli import main
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper, optimal_labeling
 from chromasum.families import FAMILY_KINDS, make
 from chromasum.formulas import predict
-from chromasum.solvers import QUANTITIES, m_bound
+from chromasum.solvers import QUANTITIES, m_bound, solve
 from chromasum.verification import (
     DESK_CAPS,
     ResultsCache,
     run_campaign,
-    solve,
     validate_witness,
     write_reports,
 )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from chromasum.cli import main
 from chromasum.families import make
-from chromasum.verification import solve
+from chromasum.solvers import solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

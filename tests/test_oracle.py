@@ -5,8 +5,7 @@ from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import FAMILY_KINDS, MIN_N, make
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
-from chromasum.solvers import QUANTITIES, BudgetExhausted, SearchBudget
-from chromasum.verification import solve
+from chromasum.solvers import QUANTITIES, BudgetExhausted, SearchBudget, solve
 
 
 class TestKnownValues:

@@ -6,7 +6,8 @@ import sys
 import pytest
 from helpers import complete_graph, cycle, empty_graph, star
 
-from chromasum import solvers
+import chromasum
+from chromasum import solvers, verification
 from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
 from chromasum.families import make
 from chromasum.graphs import Graph
@@ -22,8 +23,8 @@ from chromasum.solvers import (
     chi_sum,
     chromatic_number,
     m_bound,
+    solve,
 )
-from chromasum.verification import solve
 
 
 class TestChromaticNumber:
@@ -291,6 +292,17 @@ class TestBudget:
         # past the limit each longer suffix is bounded by one more vertex
         assert table[0] > table[n // 2] >= table[n] == 0
 
+    def test_lex_leader_table_is_bounded(self):
+        # sunlet:2000's 4,000 images of 2,000 vertices each would take
+        # hundreds of MB before the first node; past the limit the ring is
+        # searched without the cut, to the same value
+        assert solvers._lex_leader_cut(make("sunlet", 2000)) == (-1, [])
+        result = chromatic_number(make("sunlet", 2000), SearchBudget(max_time=60.0))
+        assert (result.value, result.nodes_explored) == (2, 4_003)
+        # the largest frontier graph keeps its cut
+        depth, images = solvers._lex_leader_cut(make("double_wheel", 89))
+        assert (depth, len(images)) == (90, 2 * 89 - 1)
+
 
 class TestPickle:
     """Campaign rows cross the process pool as these objects."""
@@ -364,6 +376,12 @@ class TestDistinctBVertexCount:
 
 
 class TestSolveDispatcher:
+    def test_one_public_solve(self):
+        # the package and the CLI reach the solvers through solvers.solve;
+        # the campaign has no solve of its own
+        assert chromasum.solve is solvers.solve
+        assert not hasattr(verification, "solve")
+
     def test_matches_direct_calls(self):
         g = make("sunlet", 4)
         assert solve(g, "chi").value == chromatic_number(g).value

@@ -12,7 +12,7 @@ import chromasum
 from chromasum import families, formulas, solvers, verification
 from chromasum.families import MIN_N, make
 from chromasum.coloring import Coloring
-from chromasum.solvers import SEARCH_OF, SOLVER_VERSION, SearchBudget, SumResult, max_twin, witness_value
+from chromasum.solvers import SEARCH_OF, SOLVER_VERSION, SearchBudget, SumResult, max_twin, solve, witness_value
 from chromasum.verification import (
     DESK_CAPS,
     ResultsCache,
@@ -20,7 +20,6 @@ from chromasum.verification import (
     plan_tasks,
     render_report,
     run_campaign,
-    solve,
     summary_line,
     validate_witness,
     write_reports,
@@ -35,6 +34,21 @@ DESK_WITNESS_DIGEST = "7fb2ed2b98991a6e55d5f83987f475584f9f3dc34386b538f436c0062
 # the same for the frontier campaign (test_frontier_witnesses_pinned), as
 # computed before the sum search gained its largest-class capacity bound
 FRONTIER_WITNESS_DIGEST = "69a054010050daf3a9528584b9938c3d2034ee1d05c234329bea4d3661164fdd"
+
+
+def trace_solvers(monkeypatch) -> list[tuple[str, str, int]]:
+    """Wrap the four solver names a campaign calls through verification's
+    namespace, as a tracer outside the package does, and return the list
+    each call appends (name, quantity of its result, vertex count) to."""
+    calls = []
+    for name in ("chromatic_number", "chi_sum", "b_chromatic_number", "b_sum"):
+        def traced(g, *args, _name=name, _real=getattr(verification, name)):
+            result = _real(g, *args)
+            calls.append((_name, result.quantity, g.n))
+            return result
+
+        monkeypatch.setattr(verification, name, traced)
+    return calls
 
 
 class TestPlanTasks:
@@ -223,6 +237,30 @@ class TestRunCampaign:
         ]
         assert calls == ["min"]
         assert rows[0].elapsed_ms == rows[1].elapsed_ms
+
+    def test_each_solved_search_is_one_solver_call(self, tmp_path, monkeypatch):
+        # the names a tracer wraps see each search a run solves, once, and
+        # no search the cache serves: web covers chi_sum_min, b_chromatic
+        # and b_sum_min, and the first run caches the chi_sum_min searches
+        path = tmp_path / "results.json"
+        calls = trace_solvers(monkeypatch)
+        run_campaign(["web"], 3, 4, ["chi_sum_max"], cache=ResultsCache(path))
+        assert calls == [("chi_sum", "chi_sum_min", 12), ("chi_sum", "chi_sum_min", 9)]
+        calls.clear()
+        run_campaign(["web"], 3, 4, ALL_QUANTITIES, cache=ResultsCache(path))
+        assert calls == [
+            ("b_chromatic_number", "b_chromatic", 12), ("b_sum", "b_sum_min", 12),
+            ("b_chromatic_number", "b_chromatic", 9), ("b_sum", "b_sum_min", 9),
+        ]
+
+    def test_empty_plan_rejected_before_any_directory(self, tmp_path):
+        # no formula covers the wheel, or the chi quantity: an audit of
+        # nothing would pass, so it is an error, and writes nothing
+        out = tmp_path / "out"
+        for kinds, quantities in ((["wheel"], ALL_QUANTITIES), (["sunlet", "web"], ["chi"])):
+            with pytest.raises(ValueError, match="nothing to audit"):
+                run_campaign(kinds, 3, 5, quantities, out_dir=out)
+        assert not out.exists()
 
     def test_row_nodes_match_direct_solve(self):
         rows = run_campaign(["sunlet", "web"], 3, 4, ALL_QUANTITIES)
@@ -467,6 +505,18 @@ class TestCache:
         served = ResultsCache(path).get("sunlet", 3, "chi_sum_min")
         assert (served is not None) == (type(value) is int)
 
+    @pytest.mark.parametrize("counts", [(-7, -1), (-7, 1), (1, -1)], ids=["both", "nodes", "millis"])
+    def test_negative_counts_are_a_miss(self, tmp_path, counts):
+        # a proper 3-colouring of sunlet:3 whose counts no search can have
+        # taken: re-solved, so its row never reports a negative count
+        path = tmp_path / "results.json"
+        nodes, millis = counts
+        self._write(path, {"sunlet:3:chi_sum_min": {**self._entry([1, 2, 3, 2, 3, 1], nodes), "millis": millis}})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 3, "chi_sum_min") is None
+        (row,) = run_campaign(["sunlet"], 3, 3, ["chi_sum_min"], cache=cache)
+        assert row.computed == 10 and row.nodes_explored > 0 and row.elapsed_ms >= 0
+
     def test_value_its_witness_lacks_is_a_miss(self, tmp_path):
         # the all-1 witness of sunlet:3 would show the sum 6, but it is not a
         # proper colouring, so the run solves the row again and the save
@@ -546,11 +596,12 @@ class TestCache:
     def test_max_only_run_caches_its_min_search(self, tmp_path, monkeypatch):
         path = tmp_path / "results.json"
         args = (["sunlet"], 4, 5, ["b_sum_max"])
+        calls = trace_solvers(monkeypatch)
         cold = run_campaign(*args, cache=ResultsCache(path))
+        # one b_sum call per group, the larger sunlet:5 first
+        assert calls == [("b_sum", "b_sum_min", 10), ("b_sum", "b_sum_min", 8)]
         assert sorted(json.loads(path.read_text())["entries"]) == ["sunlet:4:b_sum_min", "sunlet:5:b_sum_min"]
-        calls = []
-        real = verification.solve
-        monkeypatch.setattr(verification, "solve", lambda g, q, budget=None: calls.append(q) or real(g, q, budget))
+        calls.clear()
         warm = run_campaign(*args, cache=ResultsCache(path))
         assert calls == []
         assert render_report(cold, "csv") == render_report(warm, "csv")
