@@ -1,8 +1,9 @@
 """Command-line entry point: generate family graphs, solve single
 instances, run verification campaigns, and print prediction tables.
 
-Exit codes: 0 success, 1 usage or file error (a verify plan with no row
-is a usage error), 2 budget exhausted, 3 mismatches found under --strict.
+Exit codes: 0 success, 1 usage or file error (a verify plan with no row,
+or a graph too deep for the search, is a usage error), 2 budget
+exhausted, 3 mismatches found under --strict.
 """
 
 from __future__ import annotations

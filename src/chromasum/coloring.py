@@ -9,7 +9,7 @@ here would silently corrupt every solver result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 
@@ -70,13 +70,9 @@ def coloring_sum(coloring: Coloring) -> int:
 
 def optimal_labeling(partition: Iterable[Iterable[int]], direction: str) -> Coloring:
     """Assign colour indices 1..k to the classes of an unlabeled partition so
-    the colouring sum is extremal: for min, class sizes are nonincreasing in
-    colour index; for max, nondecreasing.  Ties break on the smallest vertex
-    id contained in the class, so the labeling is deterministic.  The
-    classes must be nonempty, disjoint and cover 0..n-1, with n the number
-    of vertices they hold."""
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    the colouring sum is extremal, by `extremal_labeling`.  The classes must
+    be nonempty, disjoint and cover 0..n-1, with n the number of vertices
+    they hold."""
     classes = [frozenset(c) for c in partition]
     n = sum(len(c) for c in classes)
     seen: set[int] = set()
@@ -88,13 +84,34 @@ def optimal_labeling(partition: Iterable[Iterable[int]], direction: str) -> Colo
         seen |= c
     if seen != set(range(n)):
         raise ValueError(f"classes do not cover 0..{n - 1}")
-    sign = -1 if direction == "min" else 1
-    ordered = sorted(classes, key=lambda c: (sign * len(c), min(c)))
-    colors = [0] * n
-    for idx, c in enumerate(ordered, start=1):
+    labels = [0] * n
+    for idx, c in enumerate(classes):
         for v in c:
-            colors[v] = idx
-    return Coloring(len(ordered), colors)
+            labels[v] = idx
+    return extremal_labeling(labels, direction)
+
+
+def extremal_labeling(labels: Sequence[int], direction: str) -> Coloring:
+    """The colouring whose classes are those of `labels`, vertex v's class
+    being labels[v], numbered 1..k so the colouring sum is extremal: for
+    min, class sizes are nonincreasing in colour index; for max,
+    nondecreasing.  Ties break on the smallest vertex of the class, so the
+    labeling is deterministic.  One pass over the labels reads each class's
+    size and first vertex, so a colouring is relabelled without building
+    its classes."""
+    if direction not in ("min", "max"):
+        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    sizes: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for v, c in enumerate(labels):
+        if c in sizes:
+            sizes[c] += 1
+        else:
+            sizes[c], first[c] = 1, v
+    sign = -1 if direction == "min" else 1
+    ordered = sorted(first, key=lambda c: (sign * sizes[c], first[c]))
+    colour = {c: idx for idx, c in enumerate(ordered, start=1)}
+    return Coloring(len(ordered), [colour[c] for c in labels])
 
 
 def colours(edges: Iterable[tuple[int, int]], coloring: Coloring, b: bool = False) -> bool:

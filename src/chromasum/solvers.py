@@ -55,7 +55,9 @@ bounded work on any graph, as each of its two tables has a fixed limit:
 its independence numbers are exact up to `_ALPHA_MEMO_LIMIT` memoised
 masks and upper bounds past it (`_suffix_alpha`), and a ring whose
 lex-leader images would hold more than `_LEX_TABLE_LIMIT` entries is
-searched without the cut (`_lex_leader_cut`).
+searched without the cut (`_lex_leader_cut`).  The search recurses once
+per vertex, and a graph deeper than the recursion limit `_scan` may set
+is a ValueError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring, coloring_sum, optimal_labeling
+from .coloring import Coloring, coloring_sum, extremal_labeling, optimal_labeling
 from .graphs import Graph
 
 SOLVER_VERSION = "8"
@@ -190,8 +192,9 @@ def witness_value(quantity: str, witness: Coloring) -> int:
 
 def max_twin(result: SumResult) -> SumResult:
     """The *_sum_max result of the *_sum_min `result`: the same classes with
-    the max labelling, and the same nodes and millis."""
-    witness = optimal_labeling(result.witness.classes(), "max")
+    the max labelling, relabelled from the witness's colour list, and the
+    same nodes and millis."""
+    witness = extremal_labeling(result.witness.colors, "max")
     quantity = result.quantity.removesuffix("_min") + "_max"
     return SumResult(quantity, witness_value(quantity, witness), witness, result.nodes_explored, result.elapsed_ms)
 
@@ -226,6 +229,12 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[lis
             classes = _partition(g, k, tracker, require_b, first)
             if classes is not None:
                 return classes
+    except RecursionError:
+        # raised once the stack has unwound, so it is a usage error, not a crash
+        raise ValueError(
+            f"a graph of {g.n} vertices is too deep for the search, which recurses once per "
+            f"vertex: at most {_MAX_HEADROOM} levels are added to the recursion limit"
+        ) from None
     finally:
         sys.setrecursionlimit(limit)
     raise RuntimeError("unreachable: chi(G) <= n, and a b-colouring with chi(G) colours exists")

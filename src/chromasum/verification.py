@@ -25,8 +25,11 @@ worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
 cache.  Every file a run writes (witnesses, reports, the cache) goes
 through `_write_if_changed`: a rerun leaves untouched, mtime included, any
-file that already holds its bytes, and any other file is written beside it
-and renamed into place, so no file is ever left half-written.  Each
+file that already holds its bytes, compared by one raw read of at most
+len + 1 bytes, and any other file is written beside it and renamed into
+place, so no file is ever left half-written.  report.json is built from
+json's C encoder, yet byte for byte in json's indent=2 layout
+(`_render_json`), and every encoder is built once, at import.  Each
 search's outcome, a SumResult or the BudgetExhausted that aborted it,
 crosses the process pool as it is; an aborted row reports the nodes and
 millis its search's tracker counted.
@@ -63,6 +66,15 @@ CACHE_VERSION = 2
 
 # Default largest cycle parameter per family for a desk-scale campaign.
 DESK_CAPS = {"double_wheel": 7, "helm": 7, "closed_helm": 7, "sunlet": 8, "web": 5}
+
+# json builds a new encoder for every dumps call given an option, so these
+# are built once.  None has an indent, which would send json to its
+# pure-Python encoder, about four times slower: the witnesses and the cache
+# take no indent, and report.json's rows (depth 3) and summary (depth 2)
+# take their line break and indent as the item separator (`_render_json`).
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+_ROW_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SUMMARY_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
 
 
 @dataclass(frozen=True)
@@ -160,34 +172,48 @@ class ResultsCache:
             for key, r in self._entries.items()
         }
         payload = {"version": CACHE_VERSION, "solver_version": SOLVER_VERSION, "entries": entries}
-        # No indent: any indent makes json fall back to its pure-Python
-        # encoder, about four times slower.
-        _write_if_changed(self.path, json.dumps(payload, sort_keys=True) + "\n")
+        _write_if_changed(self.path, _SORTED_JSON.encode(payload) + "\n")
 
 
-def _write_if_changed(path: Path, text: str, present: set[str] | None = None):
+def _write_if_changed(path: str | os.PathLike, text: str, present: set[str] | None = None):
     """Write text to path unless the file already holds exactly its bytes,
-    so a rerun leaves an unchanged file, and its mtime, alone.  `present`,
-    when given, holds the names in path's directory, listed once by the
-    caller: a file not among them is written without being read, so a run
-    into a fresh directory reads nothing back.  Any other file is written
-    to the per-process temporary `<name>.<pid>.tmp` beside it and renamed
-    over path, so a reader sees the old bytes or the new ones, never part
-    of them, and processes that share a file never write the same
-    temporary file.  A write that fails removes its temporary file."""
+    so a rerun leaves an unchanged file, and its mtime, alone.  The compare
+    is one raw read of at most len + 1 bytes, so a longer file differs
+    without being read to its end (a regular file's read returns every
+    byte it asks for up to the end of the file).  `present`, when given,
+    holds the names in path's directory, listed once by the caller: a file
+    not among them is written without being read, so a run into a fresh
+    directory reads nothing back.  Any other file is written to the
+    per-process temporary `<name>.<pid>.tmp` beside it and renamed over
+    path, so a reader sees the old bytes or the new ones, never part of
+    them, and processes that share a file never write the same temporary
+    file.  A write that fails removes its temporary file."""
     data = text.encode()
-    if present is None or path.name in present:
+    if present is None or os.path.basename(path) in present:
         try:
-            if path.read_bytes() == data:
-                return
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                if os.read(fd, len(data) + 1) == data:
+                    return
+            finally:
+                os.close(fd)
         except OSError:
             pass  # missing or unreadable: written below
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        tmp.write_bytes(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # a write may take only part of what it is given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
@@ -279,8 +305,8 @@ def run_campaign(
     # witnesses fails before it solves anything
     witness_dir, present = None, None
     if out_dir is not None:
-        witness_dir = Path(out_dir) / "witnesses"
-        witness_dir.mkdir(parents=True, exist_ok=True)
+        witness_dir = os.path.join(out_dir, "witnesses")
+        os.makedirs(witness_dir, exist_ok=True)
         present = set(os.listdir(witness_dir))
 
     # each (family, n)'s quantities in plan order, and the outcomes of the
@@ -361,9 +387,10 @@ def _group_rows(family, n, quantities, outcomes, witness_dir, present) -> list[V
             computed = outcome.value
             status = "match" if computed == predicted else "mismatch"
             if witness_dir is not None:
-                witness_rel = f"witnesses/{family}-{n}-{quantity}.json"
-                text = json.dumps(outcome.witness.to_json(), sort_keys=True) + "\n"
-                _write_if_changed(witness_dir / f"{family}-{n}-{quantity}.json", text, present)
+                name = f"{family}-{n}-{quantity}.json"
+                witness_rel = f"witnesses/{name}"
+                text = _SORTED_JSON.encode(outcome.witness.to_json()) + "\n"
+                _write_if_changed(f"{witness_dir}/{name}", text, present)
         rows.append(
             VerificationRow(
                 family, n, quantity, predicted, computed, status, witness_rel,
@@ -406,8 +433,14 @@ def _render_csv(rows) -> str:
 
 
 def _render_json(rows) -> str:
-    payload = {"rows": [r.to_json() for r in rows], "summary": status_counts(rows)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"` of the payload
+    {"rows": [each row's to_json()], "summary": status_counts(rows)}, byte
+    for byte, from json's C encoder: each flat object is encoded with its
+    line break and indent as the item separator, then framed."""
+    objects = ",\n    ".join("{\n      " + _ROW_JSON.encode(r.to_json())[1:-1] + "\n    }" for r in rows)
+    listed = f"[\n    {objects}\n  ]" if rows else "[]"
+    summary = _SUMMARY_JSON.encode(status_counts(rows))[1:-1]
+    return f'{{\n  "rows": {listed},\n  "summary": {{\n    {summary}\n  }}\n}}\n'
 
 
 def _render_markdown(rows) -> str:

@@ -1,8 +1,11 @@
+import inspect
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
+from chromasum import solvers
 from chromasum.cli import main
 from chromasum.families import make
 from chromasum.solvers import solve
@@ -82,6 +85,23 @@ class TestSolve:
 
     def test_unknown_quantity_rejected(self, capsys):
         assert main(["solve", "helm:3", "--quantity", "sparkle"]) == 1
+
+    def test_graph_too_deep_is_a_one_line_error(self, capsys, monkeypatch):
+        # the search recurses once per vertex, so a graph deeper than the
+        # recursion limit `_scan` sets is a usage error, not a traceback.
+        # With no headroom and the limit 100 frames above this one,
+        # sunlet:150's 300 vertices are too deep
+        monkeypatch.setattr(solvers, "_MAX_HEADROOM", 0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            code = main(["solve", "sunlet:150", "--quantity", "chi"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a graph of 300 vertices is too deep for the search")
+        assert err.count("\n") == 1
 
 
 class TestTable:

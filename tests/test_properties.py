@@ -5,16 +5,26 @@ against its loop version, the min scan against the first-partition
 scan, and the suffix independence numbers against a brute force; and on
 random ring graphs with their ring layout, the enumerator's lex-leader
 cut against the loop version, which has no cut, and phi and the b min
-sum against the oracle; and on random graphs and colourings, the
-one-pass colouring checks against their definitions."""
+sum against the oracle; on random graphs and colourings, the one-pass
+colouring checks against their definitions; on random colourings of at
+most 14 vertices, the colour-list relabel against the partition one; and
+on random report rows, report.json against json's indent=2 layout."""
 
+import json
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromasum import solvers
-from chromasum.coloring import Coloring, is_b_colouring, is_b_vertex, is_proper
+from chromasum.coloring import (
+    Coloring,
+    extremal_labeling,
+    is_b_colouring,
+    is_b_vertex,
+    is_proper,
+    optimal_labeling,
+)
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import (
@@ -30,6 +40,7 @@ from chromasum.solvers import (
     chromatic_number,
     max_twin,
 )
+from chromasum.verification import VerificationRow, render_report
 from helpers import brute_suffix_alpha, reference_partition
 
 
@@ -221,3 +232,49 @@ def test_colouring_checks_match_definitions(gc):
     assert is_proper(g, coloring) == pairwise
     definition = pairwise and all(any(is_b_vertex(g, coloring, v) for v in c) for c in coloring.classes())
     assert is_b_colouring(g, coloring) == definition
+
+
+@st.composite
+def colourings(draw, max_n: int = 14) -> Coloring:
+    """Any colouring of at most max_n vertices that uses each of its colours."""
+    raw = draw(st.lists(st.integers(1, max_n), min_size=1, max_size=max_n))
+    dense = {c: i for i, c in enumerate(sorted(set(raw)), start=1)}
+    return Coloring(len(dense), [dense[c] for c in raw])
+
+
+@settings(max_examples=300, deadline=None)
+@given(colourings())
+def test_colour_list_relabel_matches_partition_relabel(coloring):
+    # max twins relabel the witness's colour list, not its classes: the same
+    # (size, least vertex) order, so the same colouring
+    for direction in ("min", "max"):
+        assert extremal_labeling(coloring.colors, direction) == optimal_labeling(coloring.classes(), direction)
+    twin = max_twin(solvers.SumResult("chi_sum_min", 0, coloring, 7, 3))
+    assert twin.witness == optimal_labeling(coloring.classes(), "max")
+
+
+@st.composite
+def report_rows(draw) -> VerificationRow:
+    """A report row of any shape: aborted (no value, no witness) or solved,
+    with counts far past the desk's and text with quotes, commas, newlines
+    and non-ASCII characters."""
+    text = st.text(alphabet=st.sampled_from('ab"\\,\n: {}[]\u00e9\u2603'), max_size=8)
+    count = st.integers(min_value=0, max_value=10**30)
+    if draw(st.booleans()):
+        computed, status, witness = None, "aborted", ""
+    else:
+        computed, status, witness = draw(count), draw(st.sampled_from(["match", "mismatch"])), draw(text)
+    return VerificationRow(
+        draw(text), draw(count), draw(text), draw(count), computed, status, witness, draw(count), draw(count)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(report_rows(), max_size=4))
+def test_json_report_matches_indented_dumps(rows):
+    # report.json is built from json's C encoder in the indent=2 layout
+    statuses = [r.status for r in rows]
+    summary = {"matches": statuses.count("match"), "mismatches": statuses.count("mismatch"),
+               "aborted": statuses.count("aborted")}
+    payload = {"rows": [r.to_json() for r in rows], "summary": summary}
+    assert render_report(rows, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"

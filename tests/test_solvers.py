@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import pickle
 import sys
@@ -228,6 +229,22 @@ class TestBudget:
         with pytest.raises(BudgetExhausted, match="node budget exhausted") as info:
             b_sum(make("web", 7), "min", budget=SearchBudget(max_nodes=100))
         assert info.value.nodes_explored == 101
+
+    def test_graph_too_deep_restores_the_recursion_limit(self, monkeypatch):
+        # the RecursionError is turned into a ValueError once the stack has
+        # unwound, and the limit `_scan` raised is set back
+        monkeypatch.setattr(solvers, "_MAX_HEADROOM", 0)
+        limit = sys.getrecursionlimit()
+        lowered = len(inspect.stack(0)) + 100
+        sys.setrecursionlimit(lowered)
+        try:
+            with pytest.raises(ValueError, match="300 vertices is too deep"):
+                chromatic_number(make("sunlet", 150))
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert after == lowered
+        assert chromatic_number(make("sunlet", 150)).value == 2
 
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):

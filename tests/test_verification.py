@@ -809,19 +809,16 @@ class TestRerunWrites:
         assert self._stamps(path.parent) == before
 
     def test_cold_run_writes_every_file_and_reads_none(self, tmp_path, monkeypatch):
+        # every compare and every write of `_write_if_changed` opens its file
+        # with os.open: for reading, or for writing its temporary file
         read, written = [], []
-        read_bytes, write_bytes = Path.read_bytes, Path.write_bytes
+        os_open = os.open
 
-        def reading(path):
-            read.append(path)
-            return read_bytes(path)
+        def opening(path, flags, *args):
+            (written if flags & os.O_WRONLY else read).append(Path(path))
+            return os_open(path, flags, *args)
 
-        def writing(path, data):
-            written.append(path)
-            return write_bytes(path, data)
-
-        monkeypatch.setattr(Path, "read_bytes", reading)
-        monkeypatch.setattr(Path, "write_bytes", writing)
+        monkeypatch.setattr(os, "open", opening)
         rows = self._verify(tmp_path, self.SMALL)
         cache = tmp_path / "cache" / "results.json"
         # only the cache, which is not listed, is looked for, and it is absent
@@ -841,13 +838,13 @@ class TestRerunWrites:
         witness.write_text('{"colors": [1], "k": 1}\n')
         report.write_bytes(report.read_bytes().replace(b"match", b"hctam"))
         before = self._files(tmp_path)
-        write_bytes = Path.write_bytes
+        os_write = os.write
 
-        def failing(path, data):
-            write_bytes(path, data[: len(data) // 2])
+        def failing(fd, data):
+            os_write(fd, data[: len(data) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_bytes", failing)
+        monkeypatch.setattr(os, "write", failing)
         cache = ResultsCache(tmp_path / "cache" / "results.json")
         with pytest.raises(OSError, match="disk full"):
             run_campaign(*self.SMALL, out_dir=tmp_path, cache=cache)
@@ -855,6 +852,23 @@ class TestRerunWrites:
             write_reports(rows, tmp_path)
         # the failed writes removed their temporary files
         assert self._files(tmp_path) == before
+
+    @pytest.mark.parametrize("change", ["longer", "shorter"])
+    def test_file_one_byte_off_is_rewritten(self, tmp_path, change):
+        # the compare reads at most len + 1 bytes: a file that holds the
+        # expected bytes plus one, or all but the last, is not a match
+        self._verify(tmp_path, self.SMALL)
+        files = self._files(tmp_path)
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        report = tmp_path / "report.json"
+        for path in (witness, report):
+            path.write_bytes(files[path] + b" " if change == "longer" else files[path][:-1])
+        self._backdate(files)
+        before = self._stamps(tmp_path)
+        self._verify(tmp_path, self.SMALL)
+        assert self._files(tmp_path) == files
+        after = self._stamps(tmp_path)
+        assert {p for p in files if after[p] != before[p]} == {witness, report}
 
 
 class TestRendering:
@@ -907,6 +921,24 @@ class TestRendering:
         assert render_report([], "csv").splitlines() == [
             "family,n,quantity,predicted,computed,status,nodes,millis,witness"
         ]
+
+    @staticmethod
+    def _indented(rows) -> str:
+        payload = {"rows": [r.to_json() for r in rows], "summary": verification.status_counts(rows)}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n_min, step", [(MIN_N, 0), (6, 2)], ids=["desk", "frontier"])
+    def test_json_is_the_indented_layout(self, n_min, step):
+        # built from json's C encoder, byte for byte json.dumps with indent=2
+        caps = {family: cap + step for family, cap in DESK_CAPS.items()}
+        rows = run_campaign(formulas.COVERED_FAMILIES, n_min, caps, ALL_QUANTITIES)
+        assert render_report(rows, "json") == self._indented(rows)
+        assert render_report(self._rows(), "json") == self._indented(self._rows())
+
+    def test_empty_json_report(self):
+        text = render_report([], "json")
+        assert text == self._indented([])
+        assert '"rows": [],' in text
 
     def test_write_reports(self, tmp_path):
         write_reports(self._rows(), tmp_path)
