@@ -1,4 +1,4 @@
-"""Colourings, colour-class partitions, and the weighted colouring sum.
+"""Colourings, their extremal labelling, and the weighted colouring sum.
 
 A colouring assigns every vertex a colour index 1..k and the sum weights
 each colour class by its index: sum(i * theta_i) where theta_i is the
@@ -68,37 +68,11 @@ def coloring_sum(coloring: Coloring) -> int:
     return sum(i * t for i, t in enumerate(theta(coloring), start=1))
 
 
-def optimal_labeling(partition: Iterable[Iterable[int]], direction: str) -> Coloring:
-    """Assign colour indices 1..k to the classes of an unlabeled partition so
-    the colouring sum is extremal, by `extremal_labeling`.  The classes must
-    be nonempty, disjoint and cover 0..n-1, with n the number of vertices
-    they hold."""
-    classes = [frozenset(c) for c in partition]
-    n = sum(len(c) for c in classes)
-    seen: set[int] = set()
-    for c in classes:
-        if not c:
-            raise ValueError("empty colour class")
-        if c & seen:
-            raise ValueError("colour classes overlap")
-        seen |= c
-    if seen != set(range(n)):
-        raise ValueError(f"classes do not cover 0..{n - 1}")
-    labels = [0] * n
-    for idx, c in enumerate(classes):
-        for v in c:
-            labels[v] = idx
-    return extremal_labeling(labels, direction)
-
-
-def extremal_labeling(labels: Sequence[int], direction: str) -> Coloring:
-    """The colouring whose classes are those of `labels`, vertex v's class
-    being labels[v], numbered 1..k so the colouring sum is extremal: for
-    min, class sizes are nonincreasing in colour index; for max,
-    nondecreasing.  Ties break on the smallest vertex of the class, so the
-    labeling is deterministic.  One pass over the labels reads each class's
-    size and first vertex, so a colouring is relabelled without building
-    its classes."""
+def optimal_labeling(labels: Sequence[int], direction: str) -> Coloring:
+    """The colouring whose classes are those of the colour list `labels`
+    (vertex v in class labels[v], any class ids), numbered 1..k so the sum
+    is extremal: class sizes nonincreasing in colour index for min,
+    nondecreasing for max, ties broken on a class's smallest vertex."""
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     sizes: dict[int, int] = {}
@@ -146,6 +120,7 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 
 def is_b_vertex(g: Graph, coloring: Coloring, v: int) -> bool:
     """True iff v's neighbourhood contains every colour except v's own."""
+    _graph_edges(g, coloring)  # rejects a colouring of another length
     cols = coloring.colors
     seen = {cols[u] for u in g.neighbors(v)}
     seen.discard(cols[v])

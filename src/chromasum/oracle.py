@@ -2,8 +2,8 @@
 
 Enumerates every surjective k-colouring up to colour-class relabeling as a
 restricted-growth string, pruning only on propriety of the partial string,
-then filters (b-colourings where required) and labels each surviving
-partition optimally.  Slow on purpose: the point is that it shares no
+then filters (b-colourings where required), reads each string's class
+sizes, and labels the winning string, a colour list, by `optimal_labeling`.  Slow on purpose: the point is that it shares no
 pruning logic with the optimized search it audits.  Intended for graphs of
 at most ~18 vertices; b-quantities get expensive well before that.
 """
@@ -35,16 +35,16 @@ def brute_force_oracle(
     tracker = _Tracker(budget or SearchBudget())
 
     if quantity in ("chi", "b_chromatic"):
-        value, classes = _scan(g, tracker, quantity == "b_chromatic")
-        witness = optimal_labeling(classes, "min")
+        value, labels = _scan(g, tracker, quantity == "b_chromatic")
+        witness = optimal_labeling(labels, "min")
         return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
     need_b = quantity.startswith("b_sum")
     direction = quantity.rsplit("_", 1)[1]
     if k is None:
         k = _scan(g, tracker, need_b)[0]
-    value, classes = _extremal(g, k, direction, need_b, tracker)
-    witness = optimal_labeling(classes, direction)
+    value, labels = _extremal(g, k, direction, need_b, tracker)
+    witness = optimal_labeling(labels, direction)
     return SumResult(quantity, value, witness, tracker.nodes, tracker.elapsed_ms())
 
 
@@ -56,9 +56,9 @@ def _tick(tracker: _Tracker) -> None:
         tracker.check()
 
 
-def _scan(g: Graph, tracker: _Tracker, need_b: bool) -> tuple[int, list[list[int]]]:
+def _scan(g: Graph, tracker: _Tracker, need_b: bool) -> tuple[int, list[int]]:
     """chi(G) from 1 up, or phi(G) from max degree + 1 down, with the first
-    partition found there.  phi(G) <= max degree + 1, and a b-colouring with
+    restricted-growth string found there.  phi(G) <= max degree + 1, and a b-colouring with
     chi(G) colours always exists, so the downward scan ends at the exact
     maximum."""
     ks = range(g.max_degree() + 1, 0, -1) if need_b else range(1, g.n + 1)
@@ -70,10 +70,10 @@ def _scan(g: Graph, tracker: _Tracker, need_b: bool) -> tuple[int, list[list[int
 
 
 def _first_partition(g: Graph, k: int, need_b: bool, tracker: _Tracker):
-    hit: list[list[list[int]]] = []
+    hit: list[list[int]] = []
 
-    def on_leaf(classes):
-        hit.append(classes)
+    def on_leaf(labels):
+        hit.append(labels)
         return True
 
     _enumerate(g, k, need_b, tracker, on_leaf)
@@ -81,14 +81,14 @@ def _first_partition(g: Graph, k: int, need_b: bool, tracker: _Tracker):
 
 
 def _extremal(g: Graph, k: int, direction: str, need_b: bool, tracker: _Tracker):
-    best: list = [None, None]  # value, classes
+    best: list = [None, None]  # value, labels
     better = (lambda a, b: a < b) if direction == "min" else (lambda a, b: a > b)
 
-    def on_leaf(classes):
-        sizes = sorted((len(c) for c in classes), reverse=(direction == "min"))
+    def on_leaf(labels):
+        sizes = sorted((labels.count(c) for c in range(k)), reverse=(direction == "min"))
         value = sum(i * s for i, s in enumerate(sizes, start=1))
         if best[0] is None or better(value, best[0]):
-            best[0], best[1] = value, classes
+            best[0], best[1] = value, labels
         return False
 
     _enumerate(g, k, need_b, tracker, on_leaf)
@@ -100,8 +100,9 @@ def _extremal(g: Graph, k: int, direction: str, need_b: bool, tracker: _Tracker)
 def _enumerate(g: Graph, k: int, need_b: bool, tracker: _Tracker, on_leaf) -> None:
     """Visit every partition of V(g) into exactly k independent classes, in
     restricted-growth (lexicographic) order; classes must each hold a vertex
-    adjacent to all other classes when need_b.  on_leaf returning True stops
-    the enumeration."""
+    adjacent to all other classes when need_b.  on_leaf gets a copy of each
+    string, vertex v in class assign[v]; its returning True stops the
+    enumeration."""
     n, adj = g.n, g.adj
     masks = [0] * k
     assign = [0] * n
@@ -126,10 +127,7 @@ def _enumerate(g: Graph, k: int, need_b: bool, tracker: _Tracker, on_leaf) -> No
                 return False
             if need_b and not is_b(masks):
                 return False
-            classes: list[list[int]] = [[] for _ in range(k)]
-            for w, c in enumerate(assign):
-                classes[c].append(w)
-            return on_leaf(classes)
+            return on_leaf(assign.copy())
         if k - used > n - v:
             return False
         av = adj[v]

@@ -5,10 +5,10 @@ b_chromatic / b_sum_* search b-colourings with exactly phi(G) colours.
 Every search runs one enumerator over unlabeled partitions into exactly k
 independent classes (b-feasible classes for the b quantities) in
 restricted-growth order: the lowest-numbered vertex of each new class
-exceeds the lowest-numbered vertex of the previous class.  Colour indices
-are assigned post hoc, which shrinks the space by k! and keeps witnesses
-reproducible: among equal-value partitions the lexicographically first
-restricted-growth string wins.
+exceeds the lowest-numbered vertex of the previous class.  The winning
+string is itself a colour list, numbered post hoc by `optimal_labeling`,
+which shrinks the space by k! and keeps witnesses reproducible: among
+equal-value partitions the lexicographically first string wins.
 
 Each node of the enumerator costs O(k + deg(v)): the bound's min-labelled
 weight is carried down the search with a histogram `above` of the class
@@ -41,10 +41,10 @@ partition: chi(G) is the least k from 1 up, phi(G) the largest k from m(G)
 down.  chi and b_chromatic search each k for the first partition, a sum
 for the least min sum.  No partition exists at the k the scan passes, so
 there the two searches walk the same tree; a sum is its scan's last
-search.  Only the min is searched: relabelling a partition in reverse
+search.  Only the min is searched: relabelling a colouring in reverse
 colour order maps its min labelling onto its max labelling, so the two sums
 add up to (k+1)*|V|, and each *_sum_max is the max labelling of the
-partition its *_sum_min finds: six quantities are read off four searches
+colouring its *_sum_min finds: six quantities are read off four searches
 (`SEARCH_OF`).  A witness shows its colouring sum for a sum quantity and
 its k for chi and b_chromatic (`witness_value`).
 
@@ -68,7 +68,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring, coloring_sum, extremal_labeling, optimal_labeling
+from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
 SOLVER_VERSION = "8"
@@ -191,32 +191,32 @@ def witness_value(quantity: str, witness: Coloring) -> int:
 
 
 def max_twin(result: SumResult) -> SumResult:
-    """The *_sum_max result of the *_sum_min `result`: the same classes with
-    the max labelling, relabelled from the witness's colour list, and the
-    same nodes and millis."""
-    witness = extremal_labeling(result.witness.colors, "max")
+    """The *_sum_max result of the *_sum_min `result`: its witness's colour
+    list with the max labelling, and the same nodes and millis."""
+    witness = optimal_labeling(result.witness.colors, "max")
     quantity = result.quantity.removesuffix("_min") + "_max"
     return SumResult(quantity, witness_value(quantity, witness), witness, result.nodes_explored, result.elapsed_ms)
 
 
 def solve(g: Graph, quantity: str, budget: SearchBudget | None = None) -> SumResult:
-    """One quantity of g under one budget: its search's scan, whose last
-    partition is labelled for the min, and for a *_sum_max its max twin."""
+    """One quantity of g under one budget: its search's scan, whose
+    restricted-growth string is labelled for the min, and for a *_sum_max
+    its max twin."""
     if quantity not in SEARCH_OF:
         raise ValueError(f"unknown quantity {quantity!r}")
     search = SEARCH_OF[quantity]
     tracker = _Tracker(budget or SearchBudget())
     first = search in ("chi", "b_chromatic")
-    classes = _scan(g, tracker, require_b=search.startswith("b_"), first=first)
-    witness = optimal_labeling(classes, "min")
+    labels = _scan(g, tracker, require_b=search.startswith("b_"), first=first)
+    witness = optimal_labeling(labels, "min")
     result = SumResult(search, witness_value(search, witness), witness, tracker.nodes, tracker.elapsed_ms())
     return result if search == quantity else max_twin(result)
 
 
-def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[list[int]]:
-    """The partition into chi(G) classes, scanning k up from 1, or into
-    phi(G) classes, scanning k down from m(G), that `_partition` returns at
-    that k: with `first` the first one found, else one of least min sum.
+def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int]:
+    """The restricted-growth string of chi(G) classes, scanning k up from 1,
+    or of phi(G) classes, scanning k down from m(G), that `_partition`
+    returns at that k: with `first` the first found, else one of least min sum.
     A k it passes has no partition, so both searches walk the same tree."""
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
@@ -226,9 +226,9 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[lis
     sys.setrecursionlimit(limit + min(g.n, _MAX_HEADROOM))
     try:
         for k in ks:
-            classes = _partition(g, k, tracker, require_b, first)
-            if classes is not None:
-                return classes
+            labels = _partition(g, k, tracker, require_b, first)
+            if labels is not None:
+                return labels
     except RecursionError:
         # raised once the stack has unwound, so it is a usage error, not a crash
         raise ValueError(
@@ -253,10 +253,11 @@ def _partition(
     tracker: _Tracker,
     require_b: bool,
     first: bool,
-) -> list[list[int]] | None:
-    """One step of `_scan`: a partition of V into exactly k independent
-    classes (b-feasible when require_b) with the least min-labelled sum, or
-    with `first` the lexicographically first one; None if there is none.
+) -> list[int] | None:
+    """One step of `_scan`: the restricted-growth string (vertex v in class
+    assign[v]) of a partition of V into exactly k independent classes
+    (b-feasible when require_b) with the least min-labelled sum, or with
+    `first` the lexicographically first one; None if there is none.
 
     Vertices are assigned in index order, so at vertex v the unassigned
     vertices are v..n-1, and each node costs O(k + deg(v)) work.
@@ -464,12 +465,7 @@ def _partition(
         search(0, 0, 0, 0, sum(1 << w for w in eligible))
     finally:
         tracker.nodes = nodes
-    if best_assign is None:
-        return None
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(best_assign):
-        classes[c].append(v)
-    return classes
+    return best_assign
 
 
 def _lex_leader_cut(g: Graph) -> tuple[int, list[tuple[int, ...]]]:

@@ -103,7 +103,7 @@ def reference_partition(g, k, tracker, require_b, first=False):
     class, and never more than a largest independent set of the unassigned
     vertices, taken from `brute_suffix_alpha`), and checks at a leaf that
     each class has a vertex seeing every other class.  Same pruning
-    decisions, so the same classes and nodes."""
+    decisions, so the same restricted-growth string and nodes."""
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
@@ -194,12 +194,7 @@ def reference_partition(g, k, tracker, require_b, first=False):
         return False
 
     search(0, 0)
-    if best_assign is None:
-        return None
-    classes = [[] for _ in range(k)]
-    for v, c in enumerate(best_assign):
-        classes[c].append(v)
-    return classes
+    return best_assign
 
 
 @functools.lru_cache(maxsize=None)

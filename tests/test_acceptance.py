@@ -124,12 +124,9 @@ def test_criterion_4_labeling_exchange():
             k = rng.randint(1, n)
             assign = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
             rng.shuffle(assign)
-            classes = [set() for _ in range(k)]
-            for v, c in enumerate(assign):
-                classes[c].add(v)
-            sizes = [len(c) for c in classes]
+            sizes = [assign.count(c) for c in range(k)]
             for direction in ("min", "max"):
-                got = coloring_sum(optimal_labeling(classes, direction))
+                got = coloring_sum(optimal_labeling(assign, direction))
                 assert got == exhaustive_labeling_extremum(sizes, direction)
 
 

@@ -161,6 +161,17 @@ class TestVerify:
         assert cache_path.exists()
         assert not (tmp_path / "out" / "cache").exists()
 
+    def test_cache_path_that_is_a_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # the cache could never be saved there: one error line before any
+        # search, and no output directory
+        monkeypatch.setenv("CHROMASUM_CACHE", str(tmp_path))
+        out = tmp_path / "out"
+        code = main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "directory" in err
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = [
             "verify", "--families", "web", "--n-max", "3", "--quantities",

@@ -51,22 +51,11 @@ class TestColoringType:
 
 
 class TestPartitionType:
-    """optimal_labeling accepts only a partition of 0..n-1 into nonempty classes."""
+    """optimal_labeling takes a partition as its colour list: vertex v in
+    class labels[v]."""
 
     def test_valid(self):
-        assert optimal_labeling([{0, 1}, {2}], "min").k == 2
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            optimal_labeling([{0, 1}, {1, 2}], "min")
-
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError, match="cover"):
-            optimal_labeling([{0}, {2}], "min")
-
-    def test_rejects_empty_class(self):
-        with pytest.raises(ValueError, match="empty"):
-            optimal_labeling([{0, 1, 2}, set()], "min")
+        assert optimal_labeling([0, 0, 1], "min").k == 2
 
 
 class TestSums:
@@ -99,32 +88,32 @@ class TestSums:
 
 class TestOptimalLabeling:
     def test_sizes_144(self):
-        classes = [{0}, {1, 2, 3, 4}, {5, 6, 7, 8}]
-        lo = optimal_labeling(classes, "min")
-        hi = optimal_labeling(classes, "max")
+        labels = [0, 1, 1, 1, 1, 2, 2, 2, 2]
+        lo = optimal_labeling(labels, "min")
+        hi = optimal_labeling(labels, "max")
         assert coloring_sum(lo) == 15
         assert coloring_sum(hi) == 21
 
     def test_single_class(self):
-        classes = [{0, 1, 2}]
-        assert optimal_labeling(classes, "min") == optimal_labeling(classes, "max")
+        labels = [0, 0, 0]
+        assert optimal_labeling(labels, "min") == optimal_labeling(labels, "max")
 
     def test_tie_break_smallest_vertex(self):
-        coloring = optimal_labeling([{2, 3}, {0, 1}], "min")
+        coloring = optimal_labeling([1, 1, 0, 0], "min")
         assert coloring.colors == (1, 1, 2, 2)
-        coloring = optimal_labeling([{2, 3}, {0, 1}], "max")
+        coloring = optimal_labeling([1, 1, 0, 0], "max")
         assert coloring.colors == (1, 1, 2, 2)
 
     def test_min_sizes_nonincreasing_max_nondecreasing(self):
-        classes = [{0}, {1, 2}, {3, 4, 5}, {6}]
-        lo = optimal_labeling(classes, "min")
-        hi = optimal_labeling(classes, "max")
+        labels = [0, 1, 1, 2, 2, 2, 3]
+        lo = optimal_labeling(labels, "min")
+        hi = optimal_labeling(labels, "max")
         assert list(theta(lo)) == sorted(theta(lo), reverse=True)
         assert list(theta(hi)) == sorted(theta(hi))
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
-            optimal_labeling([{0}], "down")
+            optimal_labeling([0], "down")
 
     def test_matches_exhaustive_permutations(self):
         rng = random.Random(20240817)
@@ -133,12 +122,9 @@ class TestOptimalLabeling:
             k = rng.randint(1, n)
             assign = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
             rng.shuffle(assign)
-            classes = [set() for _ in range(k)]
-            for v, c in enumerate(assign):
-                classes[c].add(v)
-            sizes = [len(c) for c in classes]
+            sizes = [assign.count(c) for c in range(k)]
             for direction in ("min", "max"):
-                got = coloring_sum(optimal_labeling(classes, direction))
+                got = coloring_sum(optimal_labeling(assign, direction))
                 assert got == exhaustive_labeling_extremum(sizes, direction)
 
 
@@ -153,7 +139,7 @@ class TestPropriety:
         # hub=0, rim v_i=1..3, pendants u_i=4..6; classes
         # {v1,u2,u3}, {v2,u1}, {v3}, {v}
         g = make("helm", 3)
-        coloring = optimal_labeling([{1, 5, 6}, {2, 4}, {3}, {0}], "min")
+        coloring = optimal_labeling([3, 0, 1, 2, 1, 0, 0], "min")
         assert is_proper(g, coloring)
         assert coloring_sum(coloring) == 14
 
@@ -171,7 +157,7 @@ class TestBPredicates:
 
     def test_helm_pendant_never_b_vertex(self):
         g = make("helm", 3)
-        c = optimal_labeling([{1, 5, 6}, {2, 4}, {3}, {0}], "min")
+        c = optimal_labeling([3, 0, 1, 2, 1, 0, 0], "min")
         for pendant in (4, 5, 6):
             assert not is_b_vertex(g, c, pendant)  # degree 1 < k-1
 
@@ -194,8 +180,14 @@ class TestBPredicates:
     def test_published_helm4_five_colouring(self):
         # classes {v1,u3},{v2,u4},{v3,u1},{v4,u2},{v}
         g = make("helm", 4)
-        c = optimal_labeling([{1, 7}, {2, 8}, {3, 5}, {4, 6}, {0}], "min")
+        c = optimal_labeling([4, 0, 1, 2, 3, 2, 3, 0, 1], "min")
         assert is_b_colouring(g, c)
+
+    @pytest.mark.parametrize("n", [2, 12], ids=["short", "long"])
+    def test_b_vertex_rejects_another_length(self, n):
+        # sunlet:3 has 6 vertices; a colouring of any other length is an error
+        with pytest.raises(ValueError, match="covers"):
+            is_b_vertex(make("sunlet", 3), Coloring(2, [1, 2] * (n // 2)), 0)
 
     def test_improper_is_not_b(self):
         assert not is_b_colouring(cycle(3), Coloring(2, [1, 1, 2]))

@@ -7,8 +7,8 @@ random ring graphs with their ring layout, the enumerator's lex-leader
 cut against the loop version, which has no cut, and phi and the b min
 sum against the oracle; on random graphs and colourings, the one-pass
 colouring checks against their definitions; on random colourings of at
-most 14 vertices, the colour-list relabel against the partition one; and
-on random report rows, report.json against json's indent=2 layout."""
+most 14 vertices, the labelling against its definition; and on random
+report rows, report.json against json's indent=2 layout."""
 
 import json
 from unittest import mock
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from chromasum import solvers
 from chromasum.coloring import (
     Coloring,
-    extremal_labeling,
+    coloring_sum,
     is_b_colouring,
     is_b_vertex,
     is_proper,
@@ -187,8 +187,8 @@ def test_min_scan_is_first_scan_ending_in_min_search(g):
     for require_b in (False, True):
         first, first_nodes = nodes_and(lambda t: _scan(g, t, require_b, True))
         least, least_nodes = nodes_and(lambda t: _scan(g, t, require_b, False))
-        k = len(first)
-        assert len(least) == k
+        k = max(first) + 1
+        assert max(least) + 1 == k
         fresh, fresh_nodes = nodes_and(lambda t: _partition(g, k, t, require_b, False))
         assert least == fresh
         last_first_nodes = nodes_and(lambda t: _partition(g, k, t, require_b, True))[1]
@@ -243,14 +243,25 @@ def colourings(draw, max_n: int = 14) -> Coloring:
 
 
 @settings(max_examples=300, deadline=None)
-@given(colourings())
-def test_colour_list_relabel_matches_partition_relabel(coloring):
-    # max twins relabel the witness's colour list, not its classes: the same
-    # (size, least vertex) order, so the same colouring
-    for direction in ("min", "max"):
-        assert extremal_labeling(coloring.colors, direction) == optimal_labeling(coloring.classes(), direction)
+@given(colourings(), st.permutations(range(-7, 7)))
+def test_labeling_depends_only_on_the_classes(coloring, ids):
+    # any renaming of the class ids gives the colouring that numbers the
+    # classes by size, ties on their smallest vertex; the min and max
+    # labellings reverse the size order, so their sums add up to
+    # (k+1)*|V|; and a max twin is its witness's max labelling
+    k, n = coloring.k, len(coloring.colors)
+    renamed = [ids[c - 1] for c in coloring.colors]
+    labelled = {}
+    for direction, sign in (("min", -1), ("max", 1)):
+        want = [0] * n
+        for colour, members in enumerate(sorted(coloring.classes(), key=lambda c: (sign * len(c), c[0])), start=1):
+            for v in members:
+                want[v] = colour
+        labelled[direction] = optimal_labeling(renamed, direction)
+        assert labelled[direction] == Coloring(k, want), direction
+    assert coloring_sum(labelled["min"]) + coloring_sum(labelled["max"]) == (k + 1) * n
     twin = max_twin(solvers.SumResult("chi_sum_min", 0, coloring, 7, 3))
-    assert twin.witness == optimal_labeling(coloring.classes(), "max")
+    assert twin.witness == optimal_labeling(coloring.colors, "max")
 
 
 @st.composite

@@ -371,8 +371,8 @@ class TestCapacityBound:
         # (oracle-confirmed, sum 10): a class not yet opened can end with one
         # vertex more than the spare ones
         g = Graph(7, [(0, 2), (0, 3), (1, 3), (1, 5)])
-        classes = _partition(g, 3, _Tracker(SearchBudget()), require_b=False, first=False)
-        assert classes == [[0], [1], [2, 3, 4, 5, 6]]
+        labels = _partition(g, 3, _Tracker(SearchBudget()), require_b=False, first=False)
+        assert labels == [0, 1, 2, 2, 2, 2, 2]
 
 
 class TestDistinctBVertexCount:
