@@ -38,12 +38,6 @@ class Coloring:
             raise ValueError(f"colours {missing} are unused; empty classes are forbidden")
         object.__setattr__(self, "colors", colors)
 
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c - 1].append(v)
-        return out
-
     def to_json(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
 
@@ -65,7 +59,8 @@ def theta(coloring: Coloring) -> tuple[int, ...]:
 
 
 def coloring_sum(coloring: Coloring) -> int:
-    return sum(i * t for i, t in enumerate(theta(coloring), start=1))
+    """sum(i * theta_i): class i adds i once per vertex, so the colours' sum."""
+    return sum(coloring.colors)
 
 
 def optimal_labeling(labels: Sequence[int], direction: str) -> Coloring:

@@ -45,10 +45,6 @@ class TestColoringType:
         with pytest.raises(ValueError):
             Coloring.from_json(data)
 
-    def test_classes(self):
-        c = Coloring(2, [1, 2, 1])
-        assert c.classes() == [[0, 2], [1]]
-
 
 class TestPartitionType:
     """optimal_labeling takes a partition as its colour list: vertex v in

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from helpers import complete_graph, cycle, oracle_value
 
@@ -64,6 +67,35 @@ def test_empty_graph_rejected_as_the_solver_rejects_it():
     for quantity in ("chi", "b_sum_min"):
         with pytest.raises(ValueError, match="empty graph are undefined"):
             brute_force_oracle(Graph(0, []), quantity)
+
+
+@pytest.mark.parametrize(
+    "quantity, k",
+    [("chi_sum_min", 0), ("chi_sum_max", 11), ("b_sum_min", True), ("b_sum_min", 4)],
+    ids=["zero", "n-plus-one", "bool", "above-phi"],
+)
+def test_caller_k_without_a_partition_is_a_usage_error(quantity, k):
+    # sunlet:5 has 10 vertices and phi 3, so it has no b-partition into 4 classes
+    with pytest.raises(ValueError, match=f"k = {k}|got {k}"):
+        brute_force_oracle(make("sunlet", 5), quantity, k=k)
+
+
+# sha256 over (kind, n, quantity, value, witness colours, nodes) of the oracle
+# on every family instance with at most 12 vertices, one line per call
+ORACLE_DIGEST = "a24e567099cad8a59769246b31b96363f93829ad97b4275dcfb638bad458ac4c"
+
+
+def test_outputs_pinned():
+    # the tie break picks the lex-first extremal string, and a scan stops at
+    # its first partition: a change to either moves a witness or a node count
+    digest = hashlib.sha256()
+    for kind, n in TestAgainstSolver.GRID:
+        for quantity in QUANTITIES:
+            r = brute_force_oracle(make(kind, n), quantity)
+            line = [kind, n, quantity, r.value, r.witness.colors, r.nodes_explored]
+            digest.update(json.dumps(line).encode() + b"\n")
+    assert len(TestAgainstSolver.GRID) * len(QUANTITIES) == 144
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_budget_exhaustion():

@@ -24,6 +24,7 @@ from chromasum.coloring import (
     is_b_vertex,
     is_proper,
     optimal_labeling,
+    theta,
 )
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
@@ -98,8 +99,9 @@ def coloured_graphs(draw) -> tuple[Graph, Coloring]:
     return g, Coloring(len(dense), [dense[c] for c in raw])
 
 
-def classes(result) -> set[frozenset[int]]:
-    return {frozenset(c) for c in result.witness.classes()}
+def classes(coloring: Coloring) -> list[list[int]]:
+    """The vertices of each colour 1..k, in colour order."""
+    return [[v for v, c in enumerate(coloring.colors) if c == colour] for colour in range(1, coloring.k + 1)]
 
 
 def check_sum_pair(g: Graph, solver, base: str):
@@ -109,7 +111,7 @@ def check_sum_pair(g: Graph, solver, base: str):
     k = lo.witness.k
     assert hi.witness.k == k
     assert lo.value + hi.value == (k + 1) * g.n
-    assert classes(hi) == classes(lo)
+    assert sorted(classes(hi.witness)) == sorted(classes(lo.witness))
     twin = max_twin(lo)
     assert (twin.quantity, twin.value, twin.witness) == (f"{base}_max", hi.value, hi.witness)
     assert twin.nodes_explored == hi.nodes_explored
@@ -230,7 +232,7 @@ def test_colouring_checks_match_definitions(gc):
     cols = coloring.colors
     pairwise = all(cols[u] != cols[v] for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1)
     assert is_proper(g, coloring) == pairwise
-    definition = pairwise and all(any(is_b_vertex(g, coloring, v) for v in c) for c in coloring.classes())
+    definition = pairwise and all(any(is_b_vertex(g, coloring, v) for v in c) for c in classes(coloring))
     assert is_b_colouring(g, coloring) == definition
 
 
@@ -254,12 +256,14 @@ def test_labeling_depends_only_on_the_classes(coloring, ids):
     labelled = {}
     for direction, sign in (("min", -1), ("max", 1)):
         want = [0] * n
-        for colour, members in enumerate(sorted(coloring.classes(), key=lambda c: (sign * len(c), c[0])), start=1):
+        for colour, members in enumerate(sorted(classes(coloring), key=lambda c: (sign * len(c), c[0])), start=1):
             for v in members:
                 want[v] = colour
         labelled[direction] = optimal_labeling(renamed, direction)
         assert labelled[direction] == Coloring(k, want), direction
     assert coloring_sum(labelled["min"]) + coloring_sum(labelled["max"]) == (k + 1) * n
+    # sum(i * theta_i) adds colour i once per vertex of class i
+    assert coloring_sum(coloring) == sum(i * t for i, t in enumerate(theta(coloring), start=1))
     twin = max_twin(solvers.SumResult("chi_sum_min", 0, coloring, 7, 3))
     assert twin.witness == optimal_labeling(coloring.colors, "max")
 
