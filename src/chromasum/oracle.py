@@ -29,17 +29,18 @@ def brute_force_oracle(
     k with a partition.  A sum lists every partition at the caller's `k`,
     else at its own scan's k, never at one borrowed from the optimized
     solver, and keeps the first string whose sorted class sizes are extremal.
-    A caller's k outside 1..n, or with no such partition, is a ValueError.
+    A caller's k outside 1..n, with no such partition, or for a scan, is a
+    ValueError.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
     is_sum, need_b = "sum" in quantity, quantity.startswith("b_")
-    if is_sum and k is not None and (type(k) is not int or not 1 <= k <= g.n):
-        raise ValueError(f"k must be an int in 1..{g.n}, got {k!r}")
+    if k is not None and (not is_sum or type(k) is not int or not 1 <= k <= g.n):
+        raise ValueError(f"k must be an int in 1..{g.n} and {quantity} a sum, got k = {k!r}")
     tracker = _Tracker(budget or SearchBudget())
-    if k is None or not is_sum:
+    if k is None:
         for k in range(g.max_degree() + 1, 0, -1) if need_b else range(1, g.n + 1):
             found = _partitions(g, k, need_b, tracker, first=True)
             if found:
@@ -64,10 +65,10 @@ def brute_force_oracle(
 
 def _tick(tracker: _Tracker) -> None:
     """Count one node on the solvers' tracker; raise if the budget is spent.
-    The deadline is read only at every 1,024th node."""
+    The budget is read only at the count `tracker.check` last asked for."""
     tracker.nodes += 1
-    if tracker.nodes > tracker.max_nodes or not tracker.nodes & 0x3FF:
-        tracker.check()
+    if tracker.nodes == tracker.alarm:
+        tracker.alarm = tracker.check()
 
 
 def _partitions(g: Graph, k: int, need_b: bool, tracker: _Tracker, first: bool = False) -> list[list[int]]:

@@ -130,15 +130,16 @@ class SumResult:
 
 
 class _Tracker:
-    """Shared node/time accounting for one solve call, nested phases included."""
+    """Node/time accounting shared by one solve call's phases; `check` is due at `alarm`."""
 
-    __slots__ = ("max_nodes", "deadline", "nodes", "t0")
+    __slots__ = ("max_nodes", "deadline", "nodes", "t0", "alarm")
 
     def __init__(self, budget: SearchBudget):
         self.max_nodes = budget.max_nodes
         self.t0 = time.monotonic()
         self.deadline = self.t0 + budget.max_time
         self.nodes = 0
+        self.alarm = 1
 
     def check(self) -> int:
         """Raise if the budget is spent at `nodes`: the count is past
@@ -297,17 +298,18 @@ def _partition(
     it holds for chi and b searches alike.  The alpha table is built once
     per graph (`_suffix_alpha`, `_graph_tables`).
 
-    b-feasibility: an eligible vertex w (degree >= k-1) can still dominate
-    an opened class c if it is in c, or unassigned with no neighbour in c,
-    and it sees or can still see k-1 other classes, which it does while
-    slack[w] = (opened classes holding a neighbour of w) + (unassigned
-    neighbours of w) - (k-1) >= 0.  Assigning v to class c lowers slack[w]
-    by one for each eligible neighbour w of v that already sees c, and
-    changes no other slack, so slack only falls along a branch: the mask
-    `good` of eligible w with slack[w] >= 0 is an argument of `search`, and
-    a child clears w's bit when w's slack drops below 0.  Class c is
-    feasible if good meets c or meets the unassigned vertices outside
-    sees[c].  At a leaf, w is in good iff it sees all k-1 other classes.
+    b-feasibility: a vertex w of the mask `eligible` (degree >= k-1) can
+    still dominate an opened class c if it is in c, or unassigned with no
+    neighbour in c, and it sees or can still see k-1 other classes, which
+    it does while slack[w] = (opened classes holding a neighbour of w) +
+    (unassigned neighbours of w) - (k-1) >= 0.  Assigning v to class c
+    lowers slack[w] by one for each w of watched[v] = adj[v] & eligible
+    that already sees c, and changes no other slack, so slack only falls
+    along a branch: the mask `good` of eligible w with slack[w] >= 0 is an
+    argument of `search`, and a child clears w's bit when w's slack drops
+    below 0.  Class c is feasible if good meets c or meets the unassigned
+    vertices outside sees[c].  At a leaf, w is in good iff it sees all k-1
+    other classes.
 
     Distinct b-vertex count: every class needs its own b-vertex, and no
     vertex dominates two classes.  An opened class that good does not meet,
@@ -346,13 +348,12 @@ def _partition(
     sizes = [0] * k
     above = [0] * (n + 1)
     assign = [0] * n
-    eligible = [v for v in range(n) if adj[v].bit_count() >= k - 1] if require_b else []
-    if require_b and len(eligible) < k:
+    slack = [a.bit_count() - (k - 1) for a in adj]
+    eligible = sum(1 << w for w in range(n) if slack[w] >= 0) if require_b else 0
+    if require_b and eligible.bit_count() < k:
         return None
-    slack = [adj[w].bit_count() - (k - 1) for w in range(n)]
     # eligible neighbours of each vertex, whose slack its assignment can lower
-    watchers = [[w for w in eligible if adj[v] >> w & 1] for v in range(n)]
-    watched = [sum(1 << w for w in ws) for ws in watchers]
+    watched = [a & eligible for a in adj]
     tails, alpha, cut, images = _graph_tables(g)
 
     best_value: int | None = None
@@ -440,21 +441,22 @@ def _partition(
             sees[c] = sc | av
             assign[v] = c
             # eligible neighbours of v that already see c lose one slack
-            hit = watch & sc
+            hit = rest = watch & sc
             lost = 0
-            if hit:
-                for w in watchers[v]:
-                    if hit >> w & 1:
-                        slack[w] -= 1
-                        if slack[w] < 0:
-                            lost |= 1 << w
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                slack[w] -= 1
+                if slack[w] < 0:
+                    lost |= low
             grown = s + 1 if s == top else top
             if search(v + 1, used + 1 if c == used else used, weight + rank, grown, good & ~lost):
                 return True
-            if hit:
-                for w in watchers[v]:
-                    if hit >> w & 1:
-                        slack[w] += 1
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                slack[low.bit_length() - 1] += 1
             sees[c] = sc
             masks[c] = mc
             sizes[c] = s
@@ -462,7 +464,7 @@ def _partition(
         return False
 
     try:
-        search(0, 0, 0, 0, sum(1 << w for w in eligible))
+        search(0, 0, 0, 0, eligible)
     finally:
         tracker.nodes = nodes
     return best_assign

@@ -178,30 +178,27 @@ class ResultsCache:
         _write_if_changed(self.path, _SORTED_JSON.encode(payload) + "\n")
 
 
-def _write_if_changed(path: str | os.PathLike, text: str, present: set[str] | None = None):
+def _write_if_changed(path: str | os.PathLike, text: str):
     """Write text to path unless the file already holds exactly its bytes,
     so a rerun leaves an unchanged file, and its mtime, alone.  The compare
     is one raw read of at most len + 1 bytes, so a longer file differs
     without being read to its end (a regular file's read returns every
-    byte it asks for up to the end of the file).  `present`, when given,
-    holds the names in path's directory, listed once by the caller: a file
-    not among them is written without being read, so a run into a fresh
-    directory reads nothing back.  Any other file is written to the
-    per-process temporary `<name>.<pid>.tmp` beside it and renamed over
-    path, so a reader sees the old bytes or the new ones, never part of
-    them, and processes that share a file never write the same temporary
-    file.  A write that fails removes its temporary file."""
+    byte it asks for up to the end of the file).  An absent file fails its
+    open and is written without a byte being read.  Any other file is
+    written to the per-process temporary `<name>.<pid>.tmp` beside it and
+    renamed over path, so a reader sees the old bytes or the new ones,
+    never part of them, and processes that share a file never write the
+    same temporary file.  A write that fails removes its temporary file."""
     data = text.encode()
-    if present is None or os.path.basename(path) in present:
+    try:
+        fd = os.open(path, os.O_RDONLY)
         try:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                if os.read(fd, len(data) + 1) == data:
-                    return
-            finally:
-                os.close(fd)
-        except OSError:
-            pass  # missing or unreadable: written below
+            if os.read(fd, len(data) + 1) == data:
+                return
+        finally:
+            os.close(fd)
+    except OSError:
+        pass  # missing or unreadable: written below
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -304,13 +301,12 @@ def run_campaign(
             f"nothing to audit: no published formula covers families {','.join(family_kinds)} "
             f"with quantities {','.join(quantities)} for n from {n_min} to {n_max}"
         )
-    # made and listed before any search, so a run that cannot write its
-    # witnesses fails before it solves anything
-    witness_dir, present = None, None
+    # made before any search, so a run that cannot write its witnesses
+    # fails before it solves anything
+    witness_dir = None
     if out_dir is not None:
         witness_dir = os.path.join(out_dir, "witnesses")
         os.makedirs(witness_dir, exist_ok=True)
-        present = set(os.listdir(witness_dir))
 
     # each (family, n)'s quantities in plan order, and the outcomes of the
     # searches they are read from, once each
@@ -345,7 +341,7 @@ def run_campaign(
             for search, outcome in outcomes.items():
                 if isinstance(outcome, SumResult):
                     cache.put(*key, search, outcome)
-        rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir, present)
+        rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir)
 
     if jobs > 1 and len(group_tasks) > 1:
         # only pooled runs pay this import
@@ -375,7 +371,7 @@ def run_campaign(
     return rows
 
 
-def _group_rows(family, n, quantities, outcomes, witness_dir, present) -> list[VerificationRow]:
+def _group_rows(family, n, quantities, outcomes, witness_dir) -> list[VerificationRow]:
     """The rows of one (family, n), one per quantity, each read off its
     search's outcome, and the witness file of each solved row written into
     witness_dir (none when it is None)."""
@@ -393,7 +389,7 @@ def _group_rows(family, n, quantities, outcomes, witness_dir, present) -> list[V
                 name = f"{family}-{n}-{quantity}.json"
                 witness_rel = f"witnesses/{name}"
                 text = _SORTED_JSON.encode(outcome.witness.to_json()) + "\n"
-                _write_if_changed(f"{witness_dir}/{name}", text, present)
+                _write_if_changed(f"{witness_dir}/{name}", text)
         rows.append(
             VerificationRow(
                 family, n, quantity, predicted, computed, status, witness_rel,
@@ -488,11 +484,10 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=tuple(REPORT_FORMATS
         raise ValueError(f"unknown report formats: {unknown}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    present = set(os.listdir(out))
     written = []
     for fmt in formats:
         path = out / REPORT_FILES[fmt]
-        _write_if_changed(path, render_report(rows, fmt), present)
+        _write_if_changed(path, render_report(rows, fmt))
         written.append(path)
     return written
 

@@ -71,11 +71,15 @@ def test_empty_graph_rejected_as_the_solver_rejects_it():
 
 @pytest.mark.parametrize(
     "quantity, k",
-    [("chi_sum_min", 0), ("chi_sum_max", 11), ("b_sum_min", True), ("b_sum_min", 4)],
-    ids=["zero", "n-plus-one", "bool", "above-phi"],
+    [
+        ("chi_sum_min", 0), ("chi_sum_max", 11), ("b_sum_min", True), ("b_sum_min", 4),
+        ("chi", 2), ("b_chromatic", 3), ("b_chromatic", 11),
+    ],
+    ids=["zero", "n-plus-one", "bool", "above-phi", "chi", "b-chromatic", "b-chromatic-n-plus-one"],
 )
 def test_caller_k_without_a_partition_is_a_usage_error(quantity, k):
-    # sunlet:5 has 10 vertices and phi 3, so it has no b-partition into 4 classes
+    # sunlet:5 has 10 vertices and phi 3, so it has no b-partition into 4
+    # classes; chi and b_chromatic are scans, so no k is theirs to take
     with pytest.raises(ValueError, match=f"k = {k}|got {k}"):
         brute_force_oracle(make("sunlet", 5), quantity, k=k)
 
@@ -99,5 +103,14 @@ def test_outputs_pinned():
 
 
 def test_budget_exhaustion():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as info:
         brute_force_oracle(make("helm", 5), "b_sum_min", budget=SearchBudget(max_nodes=10))
+    assert info.value.nodes_explored == 11
+
+
+def test_time_budget_read_at_the_first_node():
+    # helm:3 takes 141 nodes, fewer than the 1,024 between deadline reads:
+    # a spent time budget still aborts it at its first node, as in `solve`
+    with pytest.raises(BudgetExhausted, match="time budget") as info:
+        brute_force_oracle(make("helm", 3), "b_sum_min", budget=SearchBudget(max_time=0.0))
+    assert info.value.nodes_explored == 1

@@ -809,20 +809,26 @@ class TestRerunWrites:
         assert self._stamps(path.parent) == before
 
     def test_cold_run_writes_every_file_and_reads_none(self, tmp_path, monkeypatch):
-        # every compare and every write of `_write_if_changed` opens its file
-        # with os.open: for reading, or for writing its temporary file
-        read, written = [], []
-        os_open = os.open
+        # every write of `_write_if_changed` opens its temporary file with
+        # os.open, and every compare reads its file with os.read
+        reads, written = [], []
+        os_open, os_read = os.open, os.read
 
         def opening(path, flags, *args):
-            (written if flags & os.O_WRONLY else read).append(Path(path))
+            if flags & os.O_WRONLY:
+                written.append(Path(path))
             return os_open(path, flags, *args)
 
+        def reading(fd, size):
+            reads.append(fd)
+            return os_read(fd, size)
+
         monkeypatch.setattr(os, "open", opening)
+        monkeypatch.setattr(os, "read", reading)
         rows = self._verify(tmp_path, self.SMALL)
         cache = tmp_path / "cache" / "results.json"
-        # only the cache, which is not listed, is looked for, and it is absent
-        assert read == [cache]
+        # every file is absent, so its open fails and no byte is read back
+        assert reads == []
         assert all(r.witness_path for r in rows)
         outputs = {tmp_path / r.witness_path for r in rows}
         outputs |= {tmp_path / name for name in verification.REPORT_FILES.values()}
@@ -830,6 +836,9 @@ class TestRerunWrites:
         tmps = {p.with_name(f"{p.name}.{os.getpid()}.tmp") for p in outputs | {cache}}
         assert sorted(written) == sorted(tmps)
         assert set(self._files(tmp_path)) == outputs | {cache}
+        # a warm rerun compares each of the 20 files, one read each
+        self._verify(tmp_path, self.SMALL)
+        assert len(reads) == len(outputs | {cache}) == 20
 
     def test_failed_rewrite_keeps_previous_bytes(self, tmp_path, monkeypatch):
         rows = self._verify(tmp_path, self.SMALL)
