@@ -1,15 +1,7 @@
 """Exact weighted colouring-sum solver and audit harness for cycle-derived
 graph families (wheels, double wheels, helms, closed helms, sunlets, webs)."""
 
-from .coloring import (
-    Coloring,
-    coloring_sum,
-    is_b_colouring,
-    is_b_vertex,
-    is_proper,
-    optimal_labeling,
-    theta,
-)
+from .coloring import Coloring, coloring_sum, optimal_labeling
 from .families import make, parse_family
 from .formulas import predict
 from .graphs import Graph
@@ -31,11 +23,7 @@ from .verification import ResultsCache, VerificationRow, render_report, run_camp
 __all__ = [
     "Coloring",
     "coloring_sum",
-    "is_b_colouring",
-    "is_b_vertex",
-    "is_proper",
     "optimal_labeling",
-    "theta",
     "make",
     "parse_family",
     "predict",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph
-
 
 @dataclass(frozen=True, slots=True)
 class Coloring:
@@ -49,13 +47,6 @@ class Coloring:
         if type(colors) is not list or any(type(c) is not int for c in (k, *colors)):
             raise ValueError("a colouring needs an int k and a list of int colours")
         return cls(k, colors)
-
-
-def theta(coloring: Coloring) -> tuple[int, ...]:
-    counts = [0] * coloring.k
-    for c in coloring.colors:
-        counts[c - 1] += 1
-    return tuple(counts)
 
 
 def coloring_sum(coloring: Coloring) -> int:
@@ -101,29 +92,3 @@ def colours(edges: Iterable[tuple[int, int]], coloring: Coloring, b: bool = Fals
         sees[v] |= 1 << cu
     every = (1 << coloring.k + 1) - 2  # colours 1..k
     return len({c for c, mask in zip(cols, sees) if mask | 1 << c == every}) == coloring.k
-
-
-def _graph_edges(g: Graph, coloring: Coloring):
-    if len(coloring.colors) != g.n:
-        raise ValueError(f"colouring covers {len(coloring.colors)} vertices, graph has {g.n}")
-    return g.edges
-
-
-def is_proper(g: Graph, coloring: Coloring) -> bool:
-    return colours(_graph_edges(g, coloring), coloring)
-
-
-def is_b_vertex(g: Graph, coloring: Coloring, v: int) -> bool:
-    """True iff v's neighbourhood contains every colour except v's own."""
-    _graph_edges(g, coloring)  # rejects a colouring of another length
-    cols = coloring.colors
-    seen = {cols[u] for u in g.neighbors(v)}
-    seen.discard(cols[v])
-    return len(seen) == coloring.k - 1
-
-
-def is_b_colouring(g: Graph, coloring: Coloring) -> bool:
-    """True iff the colouring is proper and every colour class contains at
-    least one b-vertex (a vertex adjacent to all other colours), checked in
-    one pass over g's edges (`colours`)."""
-    return colours(_graph_edges(g, coloring), coloring, b=True)

@@ -87,17 +87,6 @@ class Graph:
             return 0
         return max(a.bit_count() for a in self.adj)
 
-    def neighbors(self, v: int) -> list[int]:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        mask = self.adj[v]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-
 
 def to_edgelist(g: Graph) -> str:
     """Whitespace-separated interchange format: `n m` header, then one

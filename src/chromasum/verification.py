@@ -112,14 +112,14 @@ class ResultsCache:
     searches are stored: a *_sum_max row is read off its *_sum_min entry.
     The file records CACHE_VERSION and SOLVER_VERSION once; a file with
     either different, or one that is corrupt, is discarded with a warning
-    and rebuilt, but a path that is a directory is an OSError before any
-    search, as `save` could not write it.  Each entry is checked once, when
-    the file is loaded, and kept only if a run can ask for its key, its
-    node and millisecond counts are ints of at least 0, its witness
-    decodes, and the witness colours the key's family properly (for a b
-    search, as a b-colouring), checked against the family's edges without
-    building its graph (`_is_witness`), so no key costs more memory than
-    its witness.  No entry that fails is served or saved again.  `put`
+    and rebuilt, but a path that is a directory, or one under a file, is an
+    OSError before any search, as `save` could not write it.  Each entry is
+    checked once, when the file is loaded, and kept only if a run can ask
+    for its key, its node and millisecond counts are ints of at least 0,
+    its witness decodes, and the witness colours the key's family properly
+    (for a b search, as a b-colouring), checked against the family's edges
+    without building its graph (`_is_witness`), so no key costs more memory
+    than its witness.  No entry that fails is served or saved again.  `put`
     stores the solver's own results as they are."""
 
     def __init__(self, path: str | os.PathLike):
@@ -131,6 +131,9 @@ class ResultsCache:
         if self.path.is_dir():
             raise IsADirectoryError(f"cache path {self.path} is a directory")
         if not self.path.exists():
+            ancestor = next(p for p in self.path.parents if p.exists())
+            if not ancestor.is_dir():
+                raise NotADirectoryError(f"cache path {self.path} is under {ancestor}, which is not a directory")
             return
         try:
             data = json.loads(self.path.read_text())

@@ -2,6 +2,7 @@
 
 import functools
 
+from chromasum.coloring import colours
 from chromasum.families import make
 from chromasum.graphs import Graph
 from chromasum.oracle import _tick, brute_force_oracle
@@ -26,9 +27,27 @@ def star(leaves):
     return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
+def neighbours(g, v):
+    """The neighbours of v in increasing order, read off its bitmask."""
+    return [u for u in range(g.n) if g.adj[v] >> u & 1]
+
+
 def degree(g, v):
-    """Degree of v; raises ValueError for a vertex outside g."""
-    return len(g.neighbors(v))
+    return len(neighbours(g, v))
+
+
+def is_colouring(g, coloring, b=False):
+    """True iff the colouring covers g's vertices and `colours` accepts it
+    on g's edges: proper, and with `b` a b-colouring."""
+    return len(coloring.colors) == g.n and colours(g.edges, coloring, b)
+
+
+def is_b_vertex(g, coloring, v):
+    """True iff v's neighbourhood contains every colour except v's own."""
+    cols = coloring.colors
+    seen = {cols[u] for u in neighbours(g, v)}
+    seen.discard(cols[v])
+    return len(seen) == coloring.k - 1
 
 
 def is_connected(g):
@@ -36,7 +55,7 @@ def is_connected(g):
     seen = {0} if g.n else set()
     queue = list(seen)
     while queue:
-        for u in g.neighbors(queue.pop()):
+        for u in neighbours(g, queue.pop()):
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -53,7 +72,7 @@ def bfs_two_colorable(g):
         queue = [start]
         while queue:
             v = queue.pop()
-            for u in g.neighbors(v):
+            for u in neighbours(g, v):
                 if color[u] < 0:
                     color[u] = 1 - color[v]
                     queue.append(u)

@@ -11,10 +11,10 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from helpers import degree, exhaustive_labeling_extremum, is_connected, oracle_value
+from helpers import degree, exhaustive_labeling_extremum, is_colouring, is_connected, oracle_value
 
 from chromasum.cli import main
-from chromasum.coloring import coloring_sum, is_b_colouring, is_proper, optimal_labeling
+from chromasum.coloring import coloring_sum, optimal_labeling
 from chromasum.families import FAMILY_KINDS, make
 from chromasum.formulas import predict
 from chromasum.solvers import QUANTITIES, m_bound, solve
@@ -145,9 +145,9 @@ def test_criterion_5_invariant_suite(small_grid_results):
             assert chi <= phi <= m_bound(g) <= g.max_degree() + 1
             for quantity, result in results.items():
                 witness = result.witness
-                assert is_proper(g, witness), (kind, n, quantity)
+                assert is_colouring(g, witness), (kind, n, quantity)
                 if quantity.startswith("b_"):
-                    assert is_b_colouring(g, witness), (kind, n, quantity)
+                    assert is_colouring(g, witness, b=True), (kind, n, quantity)
                 if quantity in ("chi", "b_chromatic"):
                     assert witness.k == result.value
                 else:

@@ -5,6 +5,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import chromasum
 from chromasum import solvers
 from chromasum.cli import main
 from chromasum.families import make
@@ -36,6 +37,31 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     for argv, shown in examples:
         assert main(argv) == 0
         assert no_millis(capsys.readouterr().out).splitlines() == shown, argv
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    # the first python block under "Library use" runs, and shows its value
+    monkeypatch.chdir(tmp_path)
+    block = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    shown = int(re.search(r"value=(\d+)", block)[1])
+    assert namespace["result"].value == shown == 29
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only the tests use is code to delete: some line of
+    # src/, perfbench/ or the README other than its own def or class line
+    # names it as a whole word
+    root = README.parent
+    files = [p for p in sorted((root / "src" / "chromasum").glob("*.py")) if p.name != "__init__.py"]
+    files += [*sorted((root / "perfbench").glob("*.py")), README]
+    lines = [line for p in files for line in p.read_text().splitlines()]
+    uncalled = [
+        name for name in chromasum.__all__
+        if not any(re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line) for line in lines)
+    ]
+    assert uncalled == []
 
 
 class TestGenerate:
@@ -162,15 +188,17 @@ class TestVerify:
         assert not (tmp_path / "out" / "cache").exists()
 
     def test_cache_path_that_is_a_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
-        # the cache could never be saved there: one error line before any
-        # search, and no output directory
-        monkeypatch.setenv("CHROMASUM_CACHE", str(tmp_path))
-        out = tmp_path / "out"
-        code = main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", "1"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "directory" in err
-        assert not out.exists()
+        # the cache could never be saved at a directory or under a file: one
+        # error line before any search, and no output directory
+        (tmp_path / "file").write_text("a file, not a directory\n")
+        for cache_path in (tmp_path, tmp_path / "file" / "results.json"):
+            monkeypatch.setenv("CHROMASUM_CACHE", str(cache_path))
+            out = tmp_path / "out"
+            code = main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", "1"])
+            assert code == 1, cache_path
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "directory" in err, err
+            assert not out.exists(), cache_path
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = [

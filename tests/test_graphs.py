@@ -92,10 +92,6 @@ class TestQueries:
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not is_connected(two_triangles)
 
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree(cycle(3), 3)
-
 
 class TestFormats:
     def test_edgelist_header_and_lines(self):

@@ -5,11 +5,11 @@ import pickle
 import sys
 
 import pytest
-from helpers import complete_graph, cycle, empty_graph, star
+from helpers import complete_graph, cycle, empty_graph, is_colouring, star
 
 import chromasum
 from chromasum import solvers, verification
-from chromasum.coloring import coloring_sum, is_b_colouring, is_proper
+from chromasum.coloring import coloring_sum
 from chromasum.families import make
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
@@ -46,7 +46,7 @@ class TestChromaticNumber:
         r = chromatic_number(g)
         assert r.value == expected
         assert r.witness.k == expected
-        assert is_proper(g, r.witness)
+        assert is_colouring(g, r.witness)
 
     def test_empty_graph_rejected(self):
         g = empty_graph(0)
@@ -71,7 +71,7 @@ class TestChromaticNumber:
         assert sys.getrecursionlimit() == limit
         r = chromatic_number(g)
         assert (r.value, r.nodes_explored) == (2, 1203)
-        assert is_proper(g, r.witness)
+        assert is_colouring(g, r.witness)
         assert sys.getrecursionlimit() == limit
 
 
@@ -99,7 +99,7 @@ class TestChiSum:
     def test_witness_contract(self):
         for direction in ("min", "max"):
             r = chi_sum(make("helm", 4), direction)
-            assert is_proper(make("helm", 4), r.witness)
+            assert is_colouring(make("helm", 4), r.witness)
             assert coloring_sum(r.witness) == r.value
 
     def test_chi_parameter_shortcut(self):
@@ -141,7 +141,7 @@ class TestBChromatic:
         r = b_chromatic_number(g)
         assert r.value == expected
         assert r.witness.k == expected
-        assert is_b_colouring(g, r.witness)
+        assert is_colouring(g, r.witness, b=True)
 
     def test_bounded_by_m(self):
         for g in (make("web", 4), make("helm", 5), make("double_wheel", 4)):
@@ -168,7 +168,7 @@ class TestBSum:
         g = make("web", 3)
         for direction in ("min", "max"):
             r = b_sum(g, direction)
-            assert is_b_colouring(g, r.witness)
+            assert is_colouring(g, r.witness, b=True)
             assert coloring_sum(r.witness) == r.value
 
     def test_phi_parameter_shortcut(self):
