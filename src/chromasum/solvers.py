@@ -23,9 +23,9 @@ number of the unassigned suffix.  A distinct b-vertex count cuts a node
 where more classes must still take their b-vertex from the unassigned
 vertices of `good` than there are such vertices, since no vertex is the
 b-vertex of two classes (see `_partition`).  The tables a search reads of
-the graph alone (the suffix masks and their independence numbers, the
-lex-leader images) are built once per graph object and shared by every
-search of that graph.
+the graph alone (the suffix masks, the lex-leader images, and for the min
+searches, the only ones to read them, the suffixes' independence numbers)
+are built once per graph object and shared by every search of that graph.
 
 A graph that carries a ring layout (every family does) is searched once
 per orbit of its dihedral group D_n: a partition whose restricted-growth
@@ -296,7 +296,7 @@ def _partition(
     skipped when sizes[c] + alpha[v] is within the limit already.  The cap
     bounds completions only, whatever their classes must also satisfy, so
     it holds for chi and b searches alike.  The alpha table is built once
-    per graph (`_suffix_alpha`, `_graph_tables`).
+    per graph, and only for a min search (`_alpha_table`).
 
     b-feasibility: a vertex w of the mask `eligible` (degree >= k-1) can
     still dominate an opened class c if it is in c, or unassigned with no
@@ -354,7 +354,8 @@ def _partition(
         return None
     # eligible neighbours of each vertex, whose slack its assignment can lower
     watched = [a & eligible for a in adj]
-    tails, alpha, cut, images = _graph_tables(g)
+    tails, cut, images = _graph_tables(g)
+    alpha = None if first else _alpha_table(g)  # read only under an incumbent
 
     best_value: int | None = None
     best_assign: list[int] | None = None
@@ -495,16 +496,21 @@ _LEX_TABLE_LIMIT = 1 << 20
 
 
 @functools.lru_cache(maxsize=4)
-def _graph_tables(g: Graph) -> tuple[list[int], list[int], int, list[tuple[int, ...]]]:
+def _graph_tables(g: Graph) -> tuple[list[int], int, list[tuple[int, ...]]]:
     """What `_partition` reads of g alone, built once per graph object: the
-    unassigned vertices v..n-1 at each v = 0..n, their independence numbers
-    (`_suffix_alpha`), and the lex-leader depth and images.  Keyed to the
-    object (a Graph hashes by identity), so a campaign that builds its
-    graphs afresh pays for their tables once each.  Every search of g
-    shares them, and none writes to them."""
+    unassigned vertices v..n-1 at each v = 0..n, and the lex-leader depth
+    and images.  Keyed to the object (a Graph hashes by identity), so a
+    campaign that builds its graphs afresh pays for their tables once each.
+    Every search of g shares them, and none writes to them."""
     n = g.n
     tails = [((1 << n) - 1) >> v << v for v in range(n + 1)]
-    return (tails, _suffix_alpha(g), *_lex_leader_cut(g))
+    return (tails, *_lex_leader_cut(g))
+
+
+@functools.lru_cache(maxsize=4)
+def _alpha_table(g: Graph) -> list[int]:
+    """`_suffix_alpha` of g, cached as `_graph_tables`, for the min searches."""
+    return _suffix_alpha(g)
 
 
 # Most masks `_suffix_alpha` memoises for one graph.  Every family with

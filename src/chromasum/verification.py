@@ -41,10 +41,11 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import families, formulas
+from . import families, formulas, solvers
 from .coloring import Coloring, colours
 from .graphs import Graph
 from .solvers import (
@@ -116,11 +117,9 @@ class ResultsCache:
     OSError before any search, as `save` could not write it.  Each entry is
     checked once, when the file is loaded, and kept only if a run can ask
     for its key, its node and millisecond counts are ints of at least 0,
-    its witness decodes, and the witness colours the key's family properly
-    (for a b search, as a b-colouring), checked against the family's edges
-    without building its graph (`_is_witness`), so no key costs more memory
-    than its witness.  No entry that fails is served or saved again.  `put`
-    stores the solver's own results as they are."""
+    and its witness passes `_witness`, the check report rows pass too.  No
+    entry that fails is served or saved again.  `put` stores the solver's
+    own results as they are."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -152,13 +151,10 @@ class ResultsCache:
                 kind, n = families.parse_family(spec)
                 if key != self._key(kind, n, search) or SEARCH_OF.get(search) != search:
                     continue  # a key no run asks for
-                witness = Coloring.from_json(entry["witness"])
-                counts = entry["nodes"], entry["millis"]
-                if any(type(c) is not int or c < 0 for c in counts):
-                    continue
+                coded, counts = entry["witness"], (entry["nodes"], entry["millis"])
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand
-            if _is_witness(kind, n, search, witness):
+            if all(type(c) is int and c >= 0 for c in counts) and (witness := _witness(kind, n, search, coded)):
                 self._entries[key] = SumResult(search, witness_value(search, witness), witness, *counts)
 
     @staticmethod
@@ -246,14 +242,60 @@ def _solve_group(task) -> dict[str, SumResult | BudgetExhausted]:
     return out
 
 
-def _is_witness(family: str, n: int, quantity: str, witness: Coloring) -> bool:
-    """True if witness is a proper colouring of family(n) and, for a b
-    quantity, a b-colouring.  It is checked against the family's edges as
-    they are generated, and no graph is built, so however large n is, the
-    check costs memory linear in the witness it was given."""
-    if len(witness.colors) != families.order(family, n):
-        return False
-    return colours(families.edges(family, n), witness, b=quantity.startswith("b_"))
+def _witness(family: str, n: int, quantity: str, data) -> Coloring | None:
+    """The colouring `data` from disk encodes if it witnesses `quantity` of
+    family(n): one colour per vertex, proper on the family's edges (a
+    b-colouring for a b quantity) with chi(G) (phi(G)) colours; else None."""
+    try:
+        witness = Coloring.from_json(data)
+    except (KeyError, TypeError, ValueError):
+        return None
+    b = quantity.startswith("b_")
+    proper = len(witness.colors) == families.order(family, n) and colours(families.edges(family, n), witness, b)
+    return witness if proper and _is_chi_or_phi(family, n, b, witness.k) else None
+
+
+@functools.lru_cache(maxsize=1024)
+def _is_chi_or_phi(family: str, n: int, b: bool, k: int) -> bool:
+    """Whether a k-colouring (b-colouring with b) of family(n) has chi(G)
+    (phi(G)) colours: if its edges prove chi >= k, or with b if k = m(G);
+    else if k is the number solved on the graph, of at most 12 vertices."""
+    size, edges = families.order(family, n), families.edges(family, n)
+    if (k == _m(edges)) if b else _chi_at_least(edges, k):
+        return True
+    number = "b_chromatic" if b else "chi"
+    return size <= 12 and k == solvers.solve(Graph(size, families.edges(family, n)), number).value
+
+
+def _chi_at_least(edges, k: int) -> bool:
+    """Whether the edges prove chi >= k, read only as far as k needs: any
+    graph for 1, an edge for 2, an odd cycle for 3, an odd wheel (a vertex
+    whose open neighbourhood holds an odd cycle) for 4, none past 4."""
+    if k <= 2 or k > 4:
+        return k == 1 or k == 2 and next(iter(edges), None) is not None
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    for within in [set(adj)] if k == 3 else adj.values():
+        side: dict[int, int] = {}  # the parity of each vertex a BFS reached
+        for root in within:
+            queue = [] if root in side else [root]
+            side.setdefault(root, 0)
+            for u in queue:
+                for w in (adj[u] & within) - side.keys():
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+        if any(side[u] == side[w] for u in within for w in adj[u] & within):
+            return True
+    return False
+
+
+def _m(edges) -> int:
+    """m(G) >= phi (Irving & Manlove, DAM 1999), read off the degrees: the
+    most i vertices of degree at least i - 1, and 1 where there is no edge."""
+    degree = sorted(Counter(v for edge in edges for v in edge).values(), reverse=True)
+    return sum(d >= i for i, d in enumerate(degree)) or 1
 
 
 def plan_tasks(
@@ -496,35 +538,12 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=tuple(REPORT_FORMATS
 
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
-    """Re-validate a report row's witness file from scratch: propriety, the
-    b-property for b quantities (both by the cache's check, `_is_witness`),
-    value agreement, and that the witness has chi(G) colours (chi
-    quantities) or phi(G) colours (b quantities).  A file that is missing,
-    unreadable, or not a colouring of the row's graph fails the check."""
-    if not row.witness_path:
-        return False
+    """Re-validate a report row's witness file from scratch: it must pass
+    the cache's witness check (`_witness`) and show the row's value.  A row
+    with no witness file, or one missing or unreadable, fails the check."""
     try:
-        witness = Coloring.from_json(json.loads((Path(base_dir) / row.witness_path).read_text()))
-    except (OSError, KeyError, TypeError, ValueError):
+        data = json.loads((Path(base_dir) / row.witness_path).read_text())
+    except (OSError, ValueError):
         return False
-    if not _is_witness(row.family, row.n, row.quantity, witness):
-        return False
-    if witness_value(row.quantity, witness) != row.computed:
-        return False
-    return witness.k == _colour_count(row.family, row.n, row.quantity.startswith("b_"))
-
-
-@functools.lru_cache(maxsize=1)
-def _graph(family: str, n: int) -> Graph:
-    """family(n) for `_colour_count`, kept until it asks for another graph:
-    report rows come grouped by (family, n), so a group's chi and phi share
-    one build.  The colouring checks build no graph (`_is_witness`)."""
-    return families.make(family, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _colour_count(family: str, n: int, b: bool) -> int:
-    """phi (b) or chi of family(n), solved once: the graph depends only on
-    (family, n), so a memoised count never goes stale."""
-    number = b_chromatic_number if b else chromatic_number
-    return number(_graph(family, n)).value
+    witness = _witness(row.family, row.n, row.quantity, data)
+    return witness is not None and witness_value(row.quantity, witness) == row.computed

@@ -2,7 +2,8 @@
 against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, the incremental partition enumerator
 against its loop version, the min scan against the first-partition
-scan, and the suffix independence numbers against a brute force; and on
+scan, the suffix independence numbers against a brute force, and the
+witness check's chi and phi certificates against the oracle; and on
 random ring graphs with their ring layout, the enumerator's lex-leader
 cut against the loop version, which has no cut, and phi and the b min
 sum against the oracle; on random graphs and colourings, the one-pass
@@ -16,7 +17,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromasum import solvers
+from chromasum import solvers, verification
 from chromasum.coloring import Coloring, coloring_sum, colours, optimal_labeling
 from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
@@ -152,6 +153,17 @@ def test_suffix_alpha(g):
     # the capacity cap's table against a largest independent set of each
     # suffix found by trying every vertex subset
     assert _suffix_alpha(g) == brute_suffix_alpha(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=9))
+def test_k_certificates_against_oracle(g):
+    # an edge, an odd cycle or an odd wheel never proves more colours than
+    # chi, and m(G) never falls below phi, so the witness check never takes
+    # a wrong k for chi(G) or phi(G)
+    chi = brute_force_oracle(g, "chi").value
+    assert all(k <= chi for k in range(1, 6) if verification._chi_at_least(g.edges, k))
+    assert verification._m(g.edges) >= brute_force_oracle(g, "b_chromatic").value
 
 
 @settings(max_examples=100, deadline=None)

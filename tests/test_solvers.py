@@ -305,7 +305,7 @@ class TestBudget:
         with pytest.raises(BudgetExhausted, match="time budget exhausted") as info:
             chi_sum(g, "min", budget=SearchBudget(max_time=0.0))
         assert info.value.nodes_explored == 1
-        table = solvers._graph_tables(g)[1]
+        table = solvers._alpha_table(g)
         # past the limit each longer suffix is bounded by one more vertex
         assert table[0] > table[n // 2] >= table[n] == 0
 
@@ -373,6 +373,20 @@ class TestCapacityBound:
         g = Graph(7, [(0, 2), (0, 3), (1, 3), (1, 5)])
         labels = _partition(g, 3, _Tracker(SearchBudget()), require_b=False, first=False)
         assert labels == [0, 1, 2, 2, 2, 2, 2]
+
+    def test_only_min_searches_build_the_alpha_table(self, monkeypatch):
+        # chi and b_chromatic hold no incumbent, so they never read the cap's
+        # independence numbers; the min searches of a graph share one table
+        built = []
+        real = solvers._suffix_alpha
+        monkeypatch.setattr(solvers, "_suffix_alpha", lambda g: built.append(g) or real(g))
+        g = make("web", 5)
+        chromatic_number(g)
+        b_chromatic_number(g)
+        assert built == []
+        chi_sum(g, "min")
+        b_sum(g, "min")
+        assert built == [g]
 
 
 class TestDistinctBVertexCount:

@@ -36,6 +36,13 @@ DESK_WITNESS_DIGEST = "7fb2ed2b98991a6e55d5f83987f475584f9f3dc34386b538f436c0062
 FRONTIER_WITNESS_DIGEST = "69a054010050daf3a9528584b9938c3d2034ee1d05c234329bea4d3661164fdd"
 
 
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """The desk campaign's rows and the directory of their witness files."""
+    out_dir = tmp_path_factory.mktemp("desk")
+    return run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES, out_dir=out_dir), out_dir
+
+
 def trace_solvers(monkeypatch) -> list[tuple[str, str, int]]:
     """Wrap the four solver names a campaign calls through verification's
     namespace, as a tracer outside the package does, and return the list
@@ -162,8 +169,8 @@ class TestRunCampaign:
         assert validate_witness(row, tmp_path) is False
 
     def test_witness_check_builds_no_group(self, tmp_path, monkeypatch):
-        # a check reads its family's edges and builds no graph, and chi and
-        # phi are solved once per graph, so a second pass builds nothing
+        # a check reads its family's edges and builds no graph, so a second
+        # pass builds nothing either
         rows = run_campaign(["web", "sunlet"], 3, 3, ["b_sum_min"], out_dir=tmp_path)
         assert all(validate_witness(row, tmp_path) for row in rows)
         built = []
@@ -182,26 +189,35 @@ class TestRunCampaign:
                               "witnesses/helm-3-b_sum_min.json", 0, 0)
         assert validate_witness(row, tmp_path) is False
 
-    def test_witness_check_solves_phi_once_per_graph(self, tmp_path, monkeypatch):
-        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "b_sum_max"], out_dir=tmp_path)
-        calls = []
-        real = verification.b_chromatic_number
-        monkeypatch.setattr(verification, "b_chromatic_number", lambda g: calls.append(g) or real(g))
-        verification._colour_count.cache_clear()
-        assert all(validate_witness(row, tmp_path) for row in rows)
-        assert len(calls) == 1
-
-    def test_witness_check_builds_each_graph_once(self, tmp_path, monkeypatch):
-        # the propriety check and the chi/phi count share one graph per
-        # (family, n), however many rows of it are checked
-        rows = run_campaign(["web"], 3, 3, ["b_sum_min", "chi_sum_min"], out_dir=tmp_path)
+    def test_witness_check_builds_no_graph(self, desk_run, monkeypatch):
+        # every desk row is checked against its family's edges, and a graph
+        # the check must solve is built from those edges, not by make
+        rows, out_dir = desk_run
         built = []
-        real = families.make
-        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)) or real(kind, n))
-        verification._graph.cache_clear()
-        verification._colour_count.cache_clear()
-        assert all(validate_witness(row, tmp_path) for row in rows)
-        assert built == [("web", 3)]
+        monkeypatch.setattr(families, "make", lambda kind, n: built.append((kind, n)))
+        verification._is_chi_or_phi.cache_clear()
+        assert all(validate_witness(row, out_dir) for row in rows)
+        assert built == []
+
+    def test_witness_check_calls_no_solver_name(self, desk_run, monkeypatch):
+        # k is settled by a certificate or by solvers.solve, never through
+        # the four names a campaign's searches go through
+        rows, out_dir = desk_run
+        calls = trace_solvers(monkeypatch)
+        verification._is_chi_or_phi.cache_clear()
+        assert all(validate_witness(row, out_dir) for row in rows)
+        assert calls == []
+
+    def test_witness_check_solves_only_what_no_certificate_settles(self, desk_run, monkeypatch):
+        # chi is settled on every desk graph, and phi = m(G) on all but
+        # double_wheel:4, sunlet:5, helm:5 and closed_helm:5, each solved once
+        rows, out_dir = desk_run
+        solved = []
+        real = solvers.solve
+        monkeypatch.setattr(solvers, "solve", lambda g, q: solved.append((g.n, q)) or real(g, q))
+        verification._is_chi_or_phi.cache_clear()
+        assert all(validate_witness(row, out_dir) for row in rows)
+        assert sorted(solved) == [(9, "b_chromatic"), (10, "b_chromatic"), (11, "b_chromatic"), (11, "b_chromatic")]
 
     def test_aborted_rows(self, tmp_path):
         budget = SearchBudget(max_nodes=1)
@@ -539,6 +555,48 @@ class TestCache:
         assert cache.get("helm", 3, "b_sum_min") is None
         (row,) = run_campaign(["helm"], 3, 3, ["b_sum_min"], out_dir=tmp_path, cache=cache)
         assert (row.computed, validate_witness(row, tmp_path)) == (13, True)
+
+    def test_sum_entry_with_more_than_chi_colours_is_a_miss(self, tmp_path):
+        # a proper 3-colouring of sunlet:4, whose chi is 2: served, its rows
+        # read 14 and 19 against a published 12 and 12
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:4:chi_sum_min": self._entry([1, 2, 1, 2, 2, 1, 2, 3])})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 4, "chi_sum_min") is None
+        rows = run_campaign(["sunlet"], 4, 4, ["chi_sum_min", "chi_sum_max"], cache=cache)
+        assert [(r.computed, r.status) for r in rows] == [(12, "match"), (12, "match")]
+
+    def test_b_sum_entry_with_fewer_than_phi_colours_is_a_miss(self, tmp_path):
+        # the proper 2-colouring of sunlet:4 is a b-colouring, but phi is
+        # m(G) = 4: served, its rows read 12 and 12 against a published 20
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:4:b_sum_min": self._entry([1, 2, 1, 2, 2, 1, 2, 1])})
+        cache = ResultsCache(path)
+        assert cache.get("sunlet", 4, "b_sum_min") is None
+        rows = run_campaign(["sunlet"], 4, 4, ["b_sum_min", "b_sum_max"], cache=cache)
+        assert [(r.computed, r.status) for r in rows] == [(20, "match"), (20, "match")]
+
+    def test_chi_entry_of_a_graph_with_triangles_needs_an_odd_wheel(self, tmp_path):
+        # a proper 4-colouring of helm:4, whose chi is 3: the hub's closed
+        # neighbourhood holds triangles, but its open one is an even cycle
+        path = tmp_path / "results.json"
+        self._write(path, {"helm:4:chi": self._entry([1, 2, 3, 2, 3, 1, 1, 1, 4])})
+        assert ResultsCache(path).get("helm", 4, "chi") is None
+
+    def test_uncertified_large_entry_is_dropped_without_a_solve(self, tmp_path, monkeypatch):
+        # a 2-colouring of sunlet:100000 is a b-colouring, but m(G) = 4 and
+        # a graph past 12 vertices is never solved: a miss, at no search
+        colors = self._sunlet_2_colouring(100_000)
+        path = tmp_path / "results.json"
+        self._write(path, {"sunlet:100000:b_chromatic": self._entry(colors)})
+        self._forbid_builds(monkeypatch)
+
+        def solve(g, quantity):
+            raise AssertionError(f"solved {quantity} on {g.n} vertices")
+
+        monkeypatch.setattr(solvers, "solve", solve)
+        verification._is_chi_or_phi.cache_clear()
+        assert ResultsCache(path).get("sunlet", 100_000, "b_chromatic") is None
 
     def test_improper_entry_is_dropped_when_its_row_aborts(self, tmp_path):
         # no put replaces the entry of an aborted row, so the load's check
