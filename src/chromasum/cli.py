@@ -64,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--format", default="all", choices=(*REPORT_FORMATS, "all"))
     ver.add_argument("--out", default="chromasum_report", help="report/witness output directory")
-    ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # the CPUs this process may run on, where the OS keeps an affinity mask
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    ver.add_argument("--jobs", type=int, default=cpus)
     ver.add_argument("--strict", action="store_true", help="exit 3 if any row mismatches")
     _add_budget_args(ver)
     ver.set_defaults(func=cmd_verify)

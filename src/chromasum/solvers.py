@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -156,9 +157,13 @@ class _Tracker:
 
 
 def m_bound(g: Graph) -> int:
-    """m(G): largest i such that G has >= i vertices of degree >= i-1.
-    Upper-bounds the b-chromatic number."""
-    degs = sorted((a.bit_count() for a in g.adj), reverse=True)
+    """m(G) of g (`m_of_degrees`), which upper-bounds phi(G) (Irving & Manlove, DAM 1999)."""
+    return m_of_degrees(a.bit_count() for a in g.adj)
+
+
+def m_of_degrees(degrees) -> int:
+    """m(G) from G's vertex degrees: the largest i such that >= i of them are >= i-1."""
+    degs = sorted(degrees, reverse=True)
     # the i-th largest degree falls as i grows, so once d >= i-1 fails it stays failed
     return sum(1 for i, d in enumerate(degs, start=1) if d >= i - 1)
 
@@ -222,9 +227,11 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
     ks = range(m_bound(g), 0, -1) if require_b else range(1, g.n + 1)
-    # `_partition`'s search and `_alpha` each recurse one level per vertex
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + min(g.n, _MAX_HEADROOM))
+    # `_partition`'s search and `_alpha` each recurse one level per vertex.  Each search adds
+    # its headroom to the limit and takes back as much, under a lock, so threads' searches compose
+    headroom = min(g.n, _MAX_HEADROOM)
+    with _RECURSION_LOCK:
+        sys.setrecursionlimit(sys.getrecursionlimit() + headroom)
     try:
         for k in ks:
             labels = _partition(g, k, tracker, require_b, first)
@@ -237,7 +244,8 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
             f"vertex: at most {_MAX_HEADROOM} levels are added to the recursion limit"
         ) from None
     finally:
-        sys.setrecursionlimit(limit)
+        with _RECURSION_LOCK:
+            sys.setrecursionlimit(sys.getrecursionlimit() - headroom)
     raise RuntimeError("unreachable: chi(G) <= n, and a b-colouring with chi(G) colours exists")
 
 
@@ -246,6 +254,7 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
 # overflow that stack and crash the interpreter instead of raising
 # RecursionError.
 _MAX_HEADROOM = 10_000
+_RECURSION_LOCK = threading.Lock()
 
 
 def _partition(

@@ -11,15 +11,16 @@ A plan with no row is a ValueError, raised before any directory is made.
 Each search a run solves is one call of its solver, `chromatic_number`,
 `chi_sum`, `b_chromatic_number` or `b_sum`, looked up in this module's
 namespace (`_search`), and a search the cache serves calls none.
-The (family, n) groups a run must solve are dispatched largest graph first
-(by vertex count, ties in plan order), so the longest searches do not start
-last.  Every group, served or solved, is finished in one place: its
-outcomes recorded and cached, its rows built and its witness files written.
-A pooled run finishes the groups the cache served entirely once every group
-is dispatched, and each solved group as soon as it returns, so the writes
-overlap the workers' searches; a serial run finishes them all after its
-last search.  A pooled run that fails cancels the groups no worker has
-started before it raises, and saves no cache.
+The (family, n) group is the campaign's unit (`plan_groups`).  The cache is
+asked for each group's searches once: a group it serves whole is finished
+as it is planned, any other is a task that carries its hits, dispatched
+largest graph first (by vertex count, ties in plan order), so the longest
+searches do not start last.  Every group is finished once, from its hits
+and its solved outcomes: the solved ones cached, its rows built and its
+witness files written.  A pooled run finishes each solved group as it
+returns, so the writes overlap the workers' searches; a serial run finishes
+them after its last search.  A pooled run that fails cancels the groups no
+worker has started before it raises, and saves no cache.
 Rows are produced in a fixed (family, n, quantity) order regardless of how
 worker jobs complete, and cached results carry their original node/time
 counts, so warm reruns are byte-identical to the run that populated the
@@ -261,7 +262,7 @@ def _is_chi_or_phi(family: str, n: int, b: bool, k: int) -> bool:
     (phi(G)) colours: if its edges prove chi >= k, or with b if k = m(G);
     else if k is the number solved on the graph, of at most 12 vertices."""
     size, edges = families.order(family, n), families.edges(family, n)
-    if (k == _m(edges)) if b else _chi_at_least(edges, k):
+    if (k == _m(size, edges)) if b else _chi_at_least(edges, k):
         return True
     number = "b_chromatic" if b else "chi"
     return size <= 12 and k == solvers.solve(Graph(size, families.edges(family, n)), number).value
@@ -291,21 +292,20 @@ def _chi_at_least(edges, k: int) -> bool:
     return False
 
 
-def _m(edges) -> int:
-    """m(G) >= phi (Irving & Manlove, DAM 1999), read off the degrees: the
-    most i vertices of degree at least i - 1, and 1 where there is no edge."""
-    degree = sorted(Counter(v for edge in edges for v in edge).values(), reverse=True)
-    return sum(d >= i for i, d in enumerate(degree)) or 1
+def _m(size: int, edges) -> int:
+    """m(G) (`solvers.m_of_degrees`) of the graph of size vertices and these edges."""
+    degree = Counter(v for edge in edges for v in edge)
+    return solvers.m_of_degrees(degree[v] for v in range(size))
 
 
-def plan_tasks(
+def plan_groups(
     family_kinds,
     n_min: int,
     n_max: int | dict[str, int],
     quantities,
-) -> list[tuple[str, int, str]]:
-    """Deterministic (family, n, quantity) grid restricted to pairs covered
-    by a published formula."""
+) -> dict[tuple[str, int], list[str]]:
+    """Deterministic grid of each (family, n)'s quantities, in plan order,
+    restricted to pairs covered by a published formula."""
     kinds = [f for f in formulas.COVERED_FAMILIES if f in set(family_kinds)]
     unknown = set(family_kinds) - set(families.FAMILY_KINDS)
     if unknown:
@@ -318,13 +318,13 @@ def plan_tasks(
     uncapped = [f for f in kinds if f not in caps]
     if uncapped:
         raise ValueError(f"no n_max cap for families: {uncapped}")
-    tasks = []
+    groups = {}
     for family in kinds:
-        for n in range(max(n_min, families.MIN_N), caps[family] + 1):
-            for quantity in QUANTITIES:
-                if quantity in wanted and formulas.is_covered(family, quantity):
-                    tasks.append((family, n, quantity))
-    return tasks
+        covered = [q for q in QUANTITIES if q in wanted and formulas.is_covered(family, q)]
+        if covered:
+            for n in range(max(n_min, families.MIN_N), caps[family] + 1):
+                groups[(family, n)] = list(covered)
+    return groups
 
 
 def run_campaign(
@@ -340,8 +340,8 @@ def run_campaign(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     budget = budget or SearchBudget()
-    tasks = plan_tasks(family_kinds, n_min, n_max, quantities)
-    if not tasks:  # so an audit of nothing cannot pass
+    groups = plan_groups(family_kinds, n_min, n_max, quantities)
+    if not groups:  # so an audit of nothing cannot pass
         raise ValueError(
             f"nothing to audit: no published formula covers families {','.join(family_kinds)} "
             f"with quantities {','.join(quantities)} for n from {n_min} to {n_max}"
@@ -353,63 +353,55 @@ def run_campaign(
         witness_dir = os.path.join(out_dir, "witnesses")
         os.makedirs(witness_dir, exist_ok=True)
 
-    # each (family, n)'s quantities in plan order, and the outcomes of the
-    # searches they are read from, once each
-    groups: dict[tuple[str, int], list[str]] = {}
-    for family, n, quantity in tasks:
-        groups.setdefault((family, n), []).append(quantity)
-    found: dict[tuple[str, int], dict[str, SumResult | BudgetExhausted]] = {}
-    served, group_tasks = [], []
-    for (family, n), quantities in groups.items():
-        found[(family, n)] = outcomes = {}
-        missing = []
-        for search in dict.fromkeys(SEARCH_OF[q] for q in quantities):
+    rows_of: dict[tuple[str, int], list[VerificationRow]] = {}
+
+    def finish(key, hits, solved):
+        """Cache a group's solved outcomes, and build its rows from them and its hits."""
+        if cache is not None:
+            for search, outcome in solved.items():
+                if isinstance(outcome, SumResult):
+                    cache.put(*key, search, outcome)
+        rows_of[key] = _group_rows(*key, groups[key], {**hits, **solved}, witness_dir)
+
+    # each group's searches, asked of the cache once each: a group the cache
+    # serves whole is finished here, and any other is a task with its hits
+    pending = []
+    for (family, n), group in groups.items():
+        hits, missing = {}, []
+        for search in dict.fromkeys(SEARCH_OF[q] for q in group):
             hit = cache.get(family, n, search) if cache is not None else None
             if hit is None:
                 missing.append(search)
             else:
-                outcomes[search] = hit
+                hits[search] = hit
         if missing:
-            group_tasks.append((family, n, tuple(missing), budget))
+            pending.append(((family, n, tuple(missing), budget), hits))
         else:
-            served.append((family, n))
+            finish((family, n), hits, {})
     # largest graph first, ties in plan order: the longest searches start
     # while every worker is still free (Graham's LPT rule)
-    group_tasks.sort(key=lambda task: -families.order(task[0], task[1]))
+    pending.sort(key=lambda pair: -families.order(*pair[0][:2]))
 
-    rows_of: dict[tuple[str, int], list[VerificationRow]] = {}
-
-    def finish(key, outcomes):
-        """Record and cache a group's new outcomes, and build its rows."""
-        found[key].update(outcomes)
-        if cache is not None:
-            for search, outcome in outcomes.items():
-                if isinstance(outcome, SumResult):
-                    cache.put(*key, search, outcome)
-        rows_of[key] = _group_rows(*key, groups[key], found[key], witness_dir)
-
-    if jobs > 1 and len(group_tasks) > 1:
+    if jobs > 1 and len(pending) > 1:
         # only pooled runs pay this import
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(group_tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             try:
-                futures = {pool.submit(_solve_group, task): task[:2] for task in group_tasks}
+                futures = {pool.submit(_solve_group, task): (task[:2], hits) for task, hits in pending}
                 # each group's witnesses are written while the workers search
-                for key in served:
-                    finish(key, {})
                 for future in as_completed(futures):
-                    finish(futures[future], future.result())
+                    finish(*futures[future], future.result())
             except BaseException:
                 # the queued groups would otherwise all run before it surfaces
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        # every search before the first write, which between them was slower
-        solved = {task[:2]: _solve_group(task) for task in group_tasks}
-        for key in groups:
-            finish(key, solved.get(key, {}))
+        # every search before a solved group is written: writes between them were slower
+        solved = [_solve_group(task) for task, _ in pending]
+        for (task, hits), outcomes in zip(pending, solved):
+            finish(task[:2], hits, outcomes)
     rows = [row for key in groups for row in rows_of[key]]
     if cache is not None:
         cache.save()
@@ -524,17 +516,13 @@ REPORT_FILES = {fmt: name for fmt, (name, _) in REPORT_FORMATS.items()}
 
 
 def write_reports(rows, out_dir: str | os.PathLike, formats=tuple(REPORT_FORMATS)) -> list[Path]:
-    unknown = [fmt for fmt in formats if fmt not in REPORT_FORMATS]
-    if unknown:  # before any file is written
-        raise ValueError(f"unknown report formats: {unknown}")
     out = Path(out_dir)
+    # all rendered first, so an unknown format (`render_report`) writes no file
+    reports = [(render_report(rows, fmt), out / REPORT_FILES[fmt]) for fmt in formats]
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        path = out / REPORT_FILES[fmt]
-        _write_if_changed(path, render_report(rows, fmt))
-        written.append(path)
-    return written
+    for text, path in reports:
+        _write_if_changed(path, text)
+    return [path for _, path in reports]
 
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:

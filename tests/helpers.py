@@ -8,6 +8,18 @@ from chromasum.graphs import Graph
 from chromasum.oracle import _tick, brute_force_oracle
 
 
+# (vertices, edges, [(degree, count), ...]) closed forms per family; degree
+# values can coincide at small n, so counts are kept as pairs
+FAMILY_CLOSED_FORMS = {
+    "wheel": lambda n: (n + 1, 2 * n, [(n, 1), (3, n)]),
+    "double_wheel": lambda n: (2 * n + 1, 4 * n, [(2 * n, 1), (3, 2 * n)]),
+    "helm": lambda n: (2 * n + 1, 3 * n, [(n, 1), (4, n), (1, n)]),
+    "closed_helm": lambda n: (2 * n + 1, 4 * n, [(n, 1), (4, n), (3, n)]),
+    "sunlet": lambda n: (2 * n, 2 * n, [(3, n), (1, n)]),
+    "web": lambda n: (3 * n, 4 * n, [(3, n), (4, n), (1, n)]),
+}
+
+
 def cycle(n):
     """C_n on vertices 0..n-1 in ring order."""
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])

@@ -11,7 +11,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from helpers import degree, exhaustive_labeling_extremum, is_colouring, is_connected, oracle_value
+from helpers import FAMILY_CLOSED_FORMS, degree, exhaustive_labeling_extremum, is_colouring, is_connected, oracle_value
 
 from chromasum.cli import main
 from chromasum.coloring import coloring_sum, optimal_labeling
@@ -156,18 +156,10 @@ def test_criterion_5_invariant_suite(small_grid_results):
 
 def test_criterion_6_generator_counts():
     with criterion(6, "generator counts"):
-        expected = {
-            "wheel": lambda n: (n + 1, 2 * n, [(n, 1), (3, n)]),
-            "double_wheel": lambda n: (2 * n + 1, 4 * n, [(2 * n, 1), (3, 2 * n)]),
-            "helm": lambda n: (2 * n + 1, 3 * n, [(n, 1), (4, n), (1, n)]),
-            "closed_helm": lambda n: (2 * n + 1, 4 * n, [(n, 1), (4, n), (3, n)]),
-            "sunlet": lambda n: (2 * n, 2 * n, [(3, n), (1, n)]),
-            "web": lambda n: (3 * n, 4 * n, [(3, n), (4, n), (1, n)]),
-        }
         for kind in FAMILY_KINDS:
             for n in range(3, 13):
                 g = make(kind, n)
-                vertices, edges, degree_counts = expected[kind](n)
+                vertices, edges, degree_counts = FAMILY_CLOSED_FORMS[kind](n)
                 assert g.n == vertices
                 assert g.m == edges
                 want = Counter()

@@ -1,12 +1,13 @@
 import inspect
 import json
+import os
 import re
 import shlex
 import sys
 from pathlib import Path
 
 import chromasum
-from chromasum import solvers
+from chromasum import cli, solvers
 from chromasum.cli import main
 from chromasum.families import make
 from chromasum.solvers import solve
@@ -243,6 +244,18 @@ class TestVerify:
             assert main(["verify", "--families", "sunlet", "--n-max", "3", "--out", str(out), "--jobs", jobs]) == 1
             assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
         assert not out.exists()
+
+    def test_jobs_default_counts_the_usable_cpus(self, monkeypatch):
+        # the CPUs of this process's affinity mask, not every CPU of the host;
+        # where the OS keeps no mask, the CPU count, or 1 if it is unknown
+        jobs = lambda: cli._build_parser().parse_args(["verify"]).jobs
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert jobs() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert jobs() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert jobs() == 1
 
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         code = main([

@@ -1,27 +1,16 @@
 from collections import Counter
 
 import pytest
-from helpers import bfs_two_colorable, degree, is_connected
+from helpers import FAMILY_CLOSED_FORMS, bfs_two_colorable, degree, is_connected
 
 from chromasum.families import FAMILY_KINDS, RINGS, make, parse_family
-
-# (vertices, edges, [(degree, count), ...]) closed forms per family; degree
-# values can coincide at small n, so counts are kept as pairs
-EXPECTED = {
-    "wheel": lambda n: (n + 1, 2 * n, [(n, 1), (3, n)]),
-    "double_wheel": lambda n: (2 * n + 1, 4 * n, [(2 * n, 1), (3, 2 * n)]),
-    "helm": lambda n: (2 * n + 1, 3 * n, [(n, 1), (4, n), (1, n)]),
-    "closed_helm": lambda n: (2 * n + 1, 4 * n, [(n, 1), (4, n), (3, n)]),
-    "sunlet": lambda n: (2 * n, 2 * n, [(3, n), (1, n)]),
-    "web": lambda n: (3 * n, 4 * n, [(3, n), (4, n), (1, n)]),
-}
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("n", range(3, 13))
 def test_counts_degrees_connectivity(kind, n):
     g = make(kind, n)
-    vertices, edges, degrees = EXPECTED[kind](n)
+    vertices, edges, degrees = FAMILY_CLOSED_FORMS[kind](n)
     assert g.n == vertices
     assert g.m == edges
     want = Counter()

@@ -160,10 +160,11 @@ def test_suffix_alpha(g):
 def test_k_certificates_against_oracle(g):
     # an edge, an odd cycle or an odd wheel never proves more colours than
     # chi, and m(G) never falls below phi, so the witness check never takes
-    # a wrong k for chi(G) or phi(G)
+    # a wrong k for chi(G) or phi(G); the check reads m(G) off the edges by
+    # the rule the solvers read off the graph
     chi = brute_force_oracle(g, "chi").value
     assert all(k <= chi for k in range(1, 6) if verification._chi_at_least(g.edges, k))
-    assert verification._m(g.edges) >= brute_force_oracle(g, "b_chromatic").value
+    assert verification._m(g.n, g.edges) == solvers.m_bound(g) >= brute_force_oracle(g, "b_chromatic").value
 
 
 @settings(max_examples=100, deadline=None)

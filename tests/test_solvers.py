@@ -246,6 +246,60 @@ class TestBudget:
         assert after == lowered
         assert chromatic_number(make("sunlet", 150)).value == 2
 
+    def test_searches_in_two_threads_compose_the_recursion_limit(self, monkeypatch):
+        # each thread is held at the tracker's check: a shallow search enters
+        # first, a deep one raises the limit on top of it and reaches node
+        # 1,024, about 1,000 frames down, and only then does the shallow one
+        # return; it takes back its own headroom alone, so the deep search
+        # still finishes, and the limit ends where it began
+        import threading
+
+        limit = sys.getrecursionlimit()
+        check = solvers._Tracker.check
+        shallow_in, deep_down, shallow_out = threading.Event(), threading.Event(), threading.Event()
+        depth, results = [], {}
+
+        def held_check(tracker):
+            name = threading.current_thread().name
+            if name == "shallow" and not shallow_in.is_set():
+                shallow_in.set()
+                deep_down.wait(60)
+            elif name == "deep" and tracker.nodes >= 1_024 and not deep_down.is_set():
+                depth.append(len(inspect.stack(0)))
+                deep_down.set()
+                shallow_out.wait(60)
+            return check(tracker)
+
+        def outcome(g, quantity):
+            try:
+                return solve(g, quantity)
+            except Exception as exc:  # reported by the asserts below
+                return exc
+
+        def shallow(g):
+            results["shallow"] = outcome(g, "chi")
+            shallow_out.set()
+
+        def deep(g):
+            shallow_in.wait(60)
+            results["deep"] = outcome(g, "chi_sum_min")
+
+        monkeypatch.setattr(solvers._Tracker, "check", held_check)
+        threads = [
+            threading.Thread(target=shallow, name="shallow", args=(make("helm", 4),)),
+            threading.Thread(target=deep, name="deep", args=(make("sunlet", 600),)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shallow_in.is_set() and deep_down.is_set() and depth[0] > limit
+        assert not any(isinstance(r, Exception) for r in results.values()), results
+        assert results["shallow"].value == 3
+        assert (results["deep"].value, results["deep"].nodes_explored) == (1_800, 1_203)
+        assert sys.getrecursionlimit() == limit
+
     def test_time_budget(self):
         with pytest.raises(BudgetExhausted):
             b_sum(make("sunlet", 10), "min", budget=SearchBudget(max_time=0.0))

@@ -17,7 +17,7 @@ from chromasum.verification import (
     DESK_CAPS,
     ResultsCache,
     VerificationRow,
-    plan_tasks,
+    plan_groups,
     render_report,
     run_campaign,
     summary_line,
@@ -60,37 +60,37 @@ def trace_solvers(monkeypatch) -> list[tuple[str, str, int]]:
 
 class TestPlanTasks:
     def test_skips_uncovered_pairs(self):
-        tasks = plan_tasks(["sunlet"], 3, 4, ALL_QUANTITIES)
-        assert ("sunlet", 3, "b_chromatic") not in tasks
-        assert ("sunlet", 3, "chi") not in tasks
-        assert ("sunlet", 3, "b_sum_min") in tasks
+        groups = plan_groups(["sunlet"], 3, 4, ALL_QUANTITIES)
+        assert "b_chromatic" not in groups[("sunlet", 3)]
+        assert "chi" not in groups[("sunlet", 3)]
+        assert "b_sum_min" in groups[("sunlet", 3)]
 
     def test_family_order_is_canonical(self):
-        tasks = plan_tasks(["web", "double_wheel"], 3, 3, ["chi_sum_min"])
-        assert [t[0] for t in tasks] == ["double_wheel", "web"]
+        groups = plan_groups(["web", "double_wheel"], 3, 3, ["chi_sum_min"])
+        assert [family for family, _ in groups] == ["double_wheel", "web"]
 
     def test_per_family_caps(self):
-        tasks = plan_tasks(["helm", "web"], 3, {"helm": 4, "web": 3}, ["chi_sum_min"])
-        assert tasks == [
-            ("helm", 3, "chi_sum_min"),
-            ("helm", 4, "chi_sum_min"),
-            ("web", 3, "chi_sum_min"),
+        groups = plan_groups(["helm", "web"], 3, {"helm": 4, "web": 3}, ["chi_sum_min"])
+        assert list(groups.items()) == [
+            (("helm", 3), ["chi_sum_min"]),
+            (("helm", 4), ["chi_sum_min"]),
+            (("web", 3), ["chi_sum_min"]),
         ]
 
     def test_rejects_unknown_inputs(self):
         with pytest.raises(ValueError, match="families"):
-            plan_tasks(["gear"], 3, 4, ["chi"])
+            plan_groups(["gear"], 3, 4, ["chi"])
         with pytest.raises(ValueError, match="quantities"):
-            plan_tasks(["helm"], 3, 4, ["chi", "sparkle"])
+            plan_groups(["helm"], 3, 4, ["chi", "sparkle"])
 
     def test_rejects_family_without_cap(self):
         with pytest.raises(ValueError, match=r"\['helm'\]"):
             run_campaign(["web", "helm"], 3, {"web": 4}, ["chi_sum_min"])
         with pytest.raises(ValueError, match=r"\['helm', 'web'\]"):
-            plan_tasks(["web", "helm"], 3, {"sunlet": 4}, ["chi_sum_min"])
+            plan_groups(["web", "helm"], 3, {"sunlet": 4}, ["chi_sum_min"])
 
     def test_empty_quantities(self):
-        assert plan_tasks(["sunlet"], 3, 6, []) == []
+        assert plan_groups(["sunlet"], 3, 6, []) == {}
 
 
 class TestRunCampaign:
@@ -376,6 +376,47 @@ class TestRunCampaign:
         run_campaign(["closed_helm", "helm"], 3, 3, ["b_sum_min"], jobs=2)
         assert submitted == [("helm", 3), ("closed_helm", 3)]
 
+    @staticmethod
+    def _outputs(out, rows):
+        """Every file of a run into out, its reports written, with each
+        millisecond count zeroed: the reports', and those in cache.json."""
+        write_reports([dataclasses.replace(r, elapsed_ms=0) for r in rows], out)
+        cache = json.loads((out / "cache.json").read_text())
+        for entry in cache["entries"].values():
+            entry["millis"] = 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        files[Path("cache.json")] = json.dumps(cache, sort_keys=True).encode()
+        return files
+
+    def test_pool_submits_only_the_groups_the_cache_does_not_serve(self, tmp_path, monkeypatch):
+        # the cache serves sunlet:3 and web:3 whole: their witnesses are
+        # written before the first submit, and only the n = 4 groups go to
+        # the pool, whose outputs equal a serial run's
+        import concurrent.futures
+
+        quantities = ["chi_sum_min", "b_sum_min", "b_sum_max"]
+        served = ["sunlet-3-chi_sum_min.json", "web-3-b_sum_max.json"]
+        runs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_campaign(["sunlet", "web"], 3, 3, quantities, cache=ResultsCache(out / "cache.json"))
+            submitted, served_first = [], []
+            pool = self._pool(submitted, [])
+
+            def submit(self, fn, task, _submit=pool.submit, _out=out):
+                served_first.append(all((_out / "witnesses" / name).exists() for name in served))
+                return _submit(self, fn, task)
+
+            monkeypatch.setattr(pool, "submit", submit)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+            rows = run_campaign(
+                ["sunlet", "web"], 3, 4, quantities, out_dir=out, cache=ResultsCache(out / "cache.json"), jobs=jobs,
+            )
+            runs[jobs] = self._outputs(out, rows)
+        assert submitted == [("web", 4), ("sunlet", 4)]
+        assert served_first == [True, True]
+        assert runs[1] == runs[2]
+
     def test_completion_order_changes_no_output(self, tmp_path, monkeypatch):
         # a real pool whose groups are handled last submitted first; the
         # cache serves sunlet:3 whole, so a served group is written too
@@ -387,15 +428,6 @@ class TestRunCampaign:
             handled.append(len(fs))
             return reversed(fs)
 
-        def outputs(out, rows):
-            write_reports([dataclasses.replace(r, elapsed_ms=0) for r in rows], out)
-            cache = json.loads((out / "cache.json").read_text())
-            for entry in cache["entries"].values():
-                entry["millis"] = 0
-            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-            files[Path("cache.json")] = json.dumps(cache, sort_keys=True).encode()
-            return files
-
         handled = []
         args = (["sunlet", "web"], 3, 4, ["chi_sum_min", "b_sum_min", "b_sum_max"])
         runs = {}
@@ -405,7 +437,7 @@ class TestRunCampaign:
             with monkeypatch.context() as m:
                 m.setattr(concurrent.futures, "as_completed", last_first)
                 rows = run_campaign(*args, out_dir=out, cache=ResultsCache(out / "cache.json"), jobs=jobs)
-            runs[jobs] = outputs(out, rows)
+            runs[jobs] = self._outputs(out, rows)
         assert handled == [3]  # web:4, web:3 and sunlet:4
         assert runs[1] == runs[2]
 
