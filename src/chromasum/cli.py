@@ -14,8 +14,7 @@ import os
 import sys
 
 from . import families, formulas
-from .graphs import to_dot, to_edgelist
-from .solvers import QUANTITIES, BudgetExhausted, SearchBudget, solve
+from .solvers import QUANTITIES, BudgetExhausted, SearchBudget, check_depth, solve
 from .verification import (
     DESK_CAPS,
     REPORT_FORMATS,
@@ -33,9 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a family graph")
     gen.add_argument("spec", help="family spec, e.g. helm:7")
-    fmt = gen.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true", help="DOT output")
-    fmt.add_argument("--edgelist", action="store_true", help="edge list output (default)")
+    gen.add_argument("--dot", action="store_true", help="DOT output (default: `n m` header, one edge per line)")
     gen.set_defaults(func=cmd_generate)
 
     slv = sub.add_parser("solve", help="solve one quantity exactly")
@@ -87,13 +84,22 @@ def _add_budget_args(p: argparse.ArgumentParser):
 
 
 def cmd_generate(args) -> int:
-    g = families.make(*families.parse_family(args.spec))
-    sys.stdout.write(to_dot(g) if args.dot else to_edgelist(g))
+    # read off the ring row, building no graph; no family has an isolated vertex
+    kind, n = families.parse_family(args.spec)
+    edges = sorted({(min(e), max(e)) for e in families.edges(kind, n)})
+    if args.dot:
+        lines = [f"graph {kind}_{n} {{", *(f"  {u} -- {v};" for u, v in edges), "}"]
+    else:
+        lines = [f"{families.order(kind, n)} {len(edges)}", *(f"{u} {v}" for u, v in edges)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_solve(args) -> int:
-    g = families.make(*families.parse_family(args.spec))
+    kind, n = families.parse_family(args.spec)
+    # a graph too deep to search is refused before its bitsets are built
+    check_depth(families.order(kind, n))
+    g = families.make(kind, n)
     budget = SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
     try:
         result = solve(g, args.quantity, budget)

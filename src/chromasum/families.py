@@ -6,13 +6,13 @@ joins some rings by spokes; a rung pair (a, b) joins vertex i of ring a to
 vertex i of ring b.  Vertex ids are deterministic -- hub 0 if present,
 then vertex i of ring r is hub + r*n + i -- so solver witnesses are
 reproducible and comparable between runs.  Each generated graph carries
-its family tag and that layout, (hub, n), whose symmetry is the dihedral
-group D_n: the rotations and reflections of the ring index, applied to
-every ring at once, with the hub fixed.  They are automorphisms of every
-row, because spokes join whole rings and rungs pair equal ring indices.
-A row's edges are generated one at a time by `edges`: `make` builds the
-graph from them, and the witness checks read them without building one,
-so a check costs memory linear in its witness, not in the graph's bitsets.
+that layout, (hub, n), whose symmetry is the dihedral group D_n: the
+rotations and reflections of the ring index, applied to every ring at
+once, with the hub fixed.  They are automorphisms of every row, because
+spokes join whole rings and rungs pair equal ring indices.  A row's edges
+are generated one at a time by `edges`: `make` builds the graph from them
+for a search, and the witness checks and `generate` read them without
+building one, so each costs memory linear in the edges, not in bitsets.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def order(kind: str, n: int) -> int:
 def edges(kind: str, n: int):
     """Generate the edges of family `kind` with rings of n vertices, without
     building its graph: the hub's spokes, the cycles, then the rungs.
-    `make` builds the graph from them and the witness checks read them, so
-    the two share one source."""
+    `make` builds the graph from them, and the witness checks and
+    `generate` read them, so all share one source."""
     _check(kind, n)
     rings, pendants, spokes, rungs = RINGS[kind]
     hub = 1 if spokes else 0
@@ -87,4 +87,4 @@ def make(kind: str, n: int) -> Graph:
     `edges` and carrying its ring layout."""
     size = order(kind, n)
     hub = 1 if RINGS[kind][2] else 0
-    return Graph(size, edges(kind, n), family=(kind, n), rings=(hub, n))
+    return Graph(size, edges(kind, n), rings=(hub, n))

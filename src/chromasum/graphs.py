@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs with bitset adjacency and an optional
-checked ring layout, whose dihedral symmetry the solvers cut by, and the
-edge-list and DOT output formats.
+checked ring layout, whose dihedral symmetry the solvers cut by.  A graph
+is built only to be searched.
 
 Vertices are dense integers 0..n-1.  Nothing mutates after construction,
 so graphs can be shared freely between concurrent solver jobs.
@@ -14,25 +14,22 @@ from typing import Iterable
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    `adj[v]` is an int bitmask of the neighbours of v.  `family` optionally
-    records (family kind, cycle parameter) for generated graphs; `repr` and
-    the DOT graph name show it.  `rings` optionally records a ring layout
-    (hub, m): vertices 0..hub-1 are fixed, and the rest form whole rings of
-    m vertices, vertex i of ring r being hub + r*m + i.  Its symmetry is the
-    dihedral group D_m of the ring index, applied to every ring at once with
-    the hub fixed.  The layout is checked to tile hub..n-1, and the two
-    generators of D_m, i -> i+1 and i -> -i (mod m), to map the edges onto
-    themselves, so every element of the group is an automorphism.  It is
-    None when no symmetry is known.
+    `adj[v]` is an int bitmask of the neighbours of v.  `rings` optionally
+    records a ring layout (hub, m): vertices 0..hub-1 are fixed, and the
+    rest form whole rings of m vertices, vertex i of ring r being
+    hub + r*m + i.  Its symmetry is the dihedral group D_m of the ring
+    index, applied to every ring at once with the hub fixed.  The layout is
+    checked to tile hub..n-1, and the two generators of D_m, i -> i+1 and
+    i -> -i (mod m), to map the edges onto themselves, so every element of
+    the group is an automorphism.  It is None when no symmetry is known.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "rings")
+    __slots__ = ("n", "edges", "adj", "rings")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
-        family: tuple[str, int] | None = None,
         rings: tuple[int, int] | None = None,
     ):
         if n < 0:
@@ -68,15 +65,13 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "family", family)
         object.__setattr__(self, "rings", rings)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __repr__(self):
-        tag = f" {self.family[0]}:{self.family[1]}" if self.family else ""
-        return f"<Graph{tag} n={self.n} m={self.m}>"
+        return f"<Graph n={self.n} m={self.m}>"
 
     @property
     def m(self) -> int:
@@ -87,20 +82,3 @@ class Graph:
             return 0
         return max(a.bit_count() for a in self.adj)
 
-
-def to_edgelist(g: Graph) -> str:
-    """Whitespace-separated interchange format: `n m` header, then one
-    `u v` line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
-
-
-def to_dot(g: Graph) -> str:
-    name = f"{g.family[0]}_{g.family[1]}" if g.family else "G"
-    lines = [f"graph {name} {{"]
-    isolated = [v for v in range(g.n) if g.adj[v] == 0]
-    lines += [f"  {v};" for v in isolated]
-    lines += [f"  {u} -- {v};" for u, v in g.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"

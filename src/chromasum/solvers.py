@@ -57,7 +57,7 @@ masks and upper bounds past it (`_suffix_alpha`), and a ring whose
 lex-leader images would hold more than `_LEX_TABLE_LIMIT` entries is
 searched without the cut (`_lex_leader_cut`).  The search recurses once
 per vertex, and a graph deeper than the recursion limit `_scan` may set
-is a ValueError, not a RecursionError.
+is a ValueError, not a RecursionError (`check_depth`, before any table).
 """
 
 from __future__ import annotations
@@ -226,6 +226,7 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
     A k it passes has no partition, so both searches walk the same tree."""
     if g.n == 0:
         raise ValueError("colouring quantities of the empty graph are undefined here")
+    check_depth(g.n)
     ks = range(m_bound(g), 0, -1) if require_b else range(1, g.n + 1)
     # `_partition`'s search and `_alpha` each recurse one level per vertex.  Each search adds
     # its headroom to the limit and takes back as much, under a lock, so threads' searches compose
@@ -239,10 +240,7 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
                 return labels
     except RecursionError:
         # raised once the stack has unwound, so it is a usage error, not a crash
-        raise ValueError(
-            f"a graph of {g.n} vertices is too deep for the search, which recurses once per "
-            f"vertex: at most {_MAX_HEADROOM} levels are added to the recursion limit"
-        ) from None
+        check_depth(g.n, overflowed=True)
     finally:
         with _RECURSION_LOCK:
             sys.setrecursionlimit(sys.getrecursionlimit() - headroom)
@@ -255,6 +253,17 @@ def _scan(g: Graph, tracker: _Tracker, require_b: bool, first: bool) -> list[int
 # RecursionError.
 _MAX_HEADROOM = 10_000
 _RECURSION_LOCK = threading.Lock()
+
+
+def check_depth(n: int, overflowed: bool = False):
+    """Refuse a graph of n vertices too deep for the search, one level per
+    vertex: n past the recursion limit plus `_scan`'s `_MAX_HEADROOM`, found
+    before it is built, or, with `overflowed`, one whose search overflowed."""
+    if overflowed or n > sys.getrecursionlimit() + _MAX_HEADROOM:
+        raise ValueError(
+            f"a graph of {n} vertices is too deep for the search, which recurses once per "
+            f"vertex: at most {_MAX_HEADROOM} levels are added to the recursion limit"
+        ) from None
 
 
 def _partition(

@@ -116,11 +116,11 @@ class ResultsCache:
     either different, or one that is corrupt, is discarded with a warning
     and rebuilt, but a path that is a directory, or one under a file, is an
     OSError before any search, as `save` could not write it.  Each entry is
-    checked once, when the file is loaded, and kept only if a run can ask
-    for its key, its node and millisecond counts are ints of at least 0,
-    and its witness passes `_witness`, the check report rows pass too.  No
-    entry that fails is served or saved again.  `put` stores the solver's
-    own results as they are."""
+    checked once, when the file is loaded, and kept only if its key names a
+    family, an n >= 3 and a search, covered by a formula or not, its node
+    and millisecond counts are ints of at least 0, and its witness passes
+    `_witness`, the check report rows pass too.  No entry that fails is
+    served or saved again.  `put` stores the solver's own results as is."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -151,7 +151,7 @@ class ResultsCache:
             try:
                 kind, n = families.parse_family(spec)
                 if key != self._key(kind, n, search) or SEARCH_OF.get(search) != search:
-                    continue  # a key no run asks for
+                    continue  # not the key of a family, an n and a search
                 coded, counts = entry["witness"], (entry["nodes"], entry["millis"])
             except (KeyError, TypeError, ValueError):
                 continue  # malformed entry: a miss, re-solved on demand

@@ -4,12 +4,15 @@ import os
 import re
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import chromasum
-from chromasum import cli, solvers
+from chromasum import cli, families, solvers
 from chromasum.cli import main
-from chromasum.families import make
+from chromasum.families import FAMILY_KINDS, make
 from chromasum.solvers import solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,7 +70,7 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 class TestGenerate:
     def test_edgelist(self, capsys):
-        assert main(["generate", "sunlet:3", "--edgelist"]) == 0
+        assert main(["generate", "sunlet:3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "6 6"
         assert len(lines) == 7
@@ -84,6 +87,30 @@ class TestGenerate:
     def test_bad_spec(self, capsys):
         assert main(["generate", "gear:4"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_output_is_the_graph_make_builds(self, kind, capsys):
+        # `generate` reads the ring row and builds no graph; its text is that
+        # of the graph's n and edges, no vertex of which is isolated
+        for n in [*range(3, 13), 101]:
+            g = make(kind, n)
+            assert main(["generate", f"{kind}:{n}"]) == 0
+            assert capsys.readouterr().out == "".join(f"{u} {v}\n" for u, v in [(g.n, len(g.edges)), *g.edges])
+            assert main(["generate", f"{kind}:{n}", "--dot"]) == 0
+            dot = [f"graph {kind}_{n} {{\n", *(f"  {u} -- {v};\n" for u, v in g.edges), "}\n"]
+            assert capsys.readouterr().out == "".join(dot)
+
+    def test_memory_grows_with_the_edges(self, capsys):
+        # web:20000 has 60,000 vertices and 80,000 edges: built as a bitset
+        # graph its output peaked at about 300 MB, read off the ring row at 17 MB
+        tracemalloc.start()
+        try:
+            assert main(["generate", "web:20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.startswith("60000 80000\n0 1\n")
+        assert peak < 30 * 2**20
 
 
 class TestSolve:
@@ -129,6 +156,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: a graph of 300 vertices is too deep for the search")
         assert err.count("\n") == 1
+
+    def test_graph_too_deep_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        # sunlet:8000's 16,000 vertices are past the recursion limit plus
+        # the headroom `_scan` may add, which its order alone shows
+        def make(kind, n):
+            raise AssertionError(f"{kind}:{n} was built")
+
+        monkeypatch.setattr(families, "make", make)
+        assert main(["solve", "sunlet:8000", "--quantity", "chi"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: a graph of 16000 vertices is too deep for the search, which recurses once per "
+            f"vertex: at most {solvers._MAX_HEADROOM} levels are added to the recursion limit\n"
+        )
 
 
 class TestTable:

@@ -18,7 +18,6 @@ def test_counts_degrees_connectivity(kind, n):
         want[deg] += count
     assert Counter(degree(g, v) for v in range(g.n)) == want
     assert is_connected(g)
-    assert g.family == (kind, n)
 
 
 def ring_blocks(kind, n):
@@ -150,7 +149,6 @@ def test_vertex_layout_pinned(kind, n):
 
 def test_parse_family():
     assert parse_family("helm:7") == ("helm", 7)
-    assert make(*parse_family("helm:7")).family == ("helm", 7)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,8 +1,9 @@
 import pytest
-from helpers import bfs_two_colorable, cycle, degree, empty_graph, is_connected
+from helpers import bfs_two_colorable, cycle, degree, is_connected
 
+from chromasum.cli import main
 from chromasum.families import make
-from chromasum.graphs import Graph, to_dot, to_edgelist
+from chromasum.graphs import Graph
 from chromasum.oracle import brute_force_oracle
 from chromasum.solvers import chi_sum
 
@@ -94,19 +95,16 @@ class TestQueries:
 
 
 class TestFormats:
-    def test_edgelist_header_and_lines(self):
-        text = to_edgelist(make("sunlet", 3))
-        lines = text.splitlines()
+    def test_edgelist_header_and_lines(self, capsys):
+        assert main(["generate", "sunlet:3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "6 6"
         assert len(lines) == 7
         assert lines[1] == "0 1"
 
-    def test_dot_output(self):
-        text = to_dot(cycle(3))
-        assert text.startswith("graph G {")
+    def test_dot_output(self, capsys):
+        assert main(["generate", "sunlet:3", "--dot"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("graph sunlet_3 {")
         assert "  0 -- 1;" in text
         assert text.rstrip().endswith("}")
-
-    def test_dot_isolated_vertices(self):
-        text = to_dot(empty_graph(2))
-        assert "  0;" in text and "  1;" in text

@@ -246,6 +246,29 @@ class TestBudget:
         assert after == lowered
         assert chromatic_number(make("sunlet", 150)).value == 2
 
+    def test_check_depth_refuses_only_past_the_limit_and_headroom(self):
+        # a vertex count past them can never be searched; one at them may be
+        bound = sys.getrecursionlimit() + solvers._MAX_HEADROOM
+        solvers.check_depth(bound)
+        with pytest.raises(ValueError, match=f"a graph of {bound + 1} vertices is too deep"):
+            solvers.check_depth(bound + 1)
+
+    def test_graph_under_the_bound_too_deep_for_the_stack(self, monkeypatch):
+        # `check_depth` passes sunlet:n at the limit, but the caller's frames
+        # take the search past it: the RecursionError is the same ValueError
+        monkeypatch.setattr(solvers, "_MAX_HEADROOM", 0)
+        limit = sys.getrecursionlimit()
+        lowered = len(inspect.stack(0)) + 100
+        g = make("sunlet", lowered // 2)
+        sys.setrecursionlimit(lowered)
+        try:
+            with pytest.raises(ValueError, match=f"{g.n} vertices is too deep"):
+                chromatic_number(g)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert after == lowered
+
     def test_searches_in_two_threads_compose_the_recursion_limit(self, monkeypatch):
         # each thread is held at the tracker's check: a shallow search enters
         # first, a deep one raises the limit on top of it and reaches node
