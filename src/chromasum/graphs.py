@@ -71,11 +71,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __repr__(self):
-        return f"<Graph n={self.n} m={self.m}>"
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+        return f"<Graph n={self.n} m={len(self.edges)}>"
 
     def max_degree(self) -> int:
         if self.n == 0:

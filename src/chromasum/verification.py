@@ -7,6 +7,10 @@ work is the search: a campaign plans, looks up, runs and caches only the
 searches its rows are read from (`solvers.SEARCH_OF`), and reads each row
 off its search's outcome.  A *_sum_max row is the max twin of its solved
 *_sum_min search, or the same BudgetExhausted when that search aborted.
+Each solved search's witness, its own min-labelled colouring, is written
+once, as witnesses/{family}-{n}-{search}.json, and every row names its
+search's file: a *_sum_max row shares its *_sum_min row's, and
+`validate_witness` checks the max labelling of that colouring against it.
 A plan with no row is a ValueError, raised before any directory is made.
 Each search a run solves is one call of its solver, `chromatic_number`,
 `chi_sum`, `b_chromatic_number` or `b_sum`, looked up in this module's
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import families, formulas, solvers
-from .coloring import Coloring, colours
+from .coloring import Coloring, colours, optimal_labeling
 from .graphs import Graph
 from .solvers import (
     QUANTITIES,
@@ -410,26 +414,31 @@ def run_campaign(
 
 def _group_rows(family, n, quantities, outcomes, witness_dir) -> list[VerificationRow]:
     """The rows of one (family, n), one per quantity, each read off its
-    search's outcome, and the witness file of each solved row written into
-    witness_dir (none when it is None)."""
+    search's outcome, and the witness file of each solved search, its own
+    min-labelled colouring, written once into witness_dir (none when it is
+    None).  A row's witness column names its search's file, so a *_sum_max
+    row shares its *_sum_min row's."""
+    files = {}  # each solved search's witness file, relative to the out dir
+    if witness_dir is not None:
+        for search, outcome in outcomes.items():
+            if isinstance(outcome, SumResult):
+                name = f"{family}-{n}-{search}.json"
+                _write_if_changed(f"{witness_dir}/{name}", _SORTED_JSON.encode(outcome.witness.to_json()) + "\n")
+                files[search] = f"witnesses/{name}"
     rows = []
     for quantity in quantities:
         predicted = formulas.predict(family, quantity, n)
-        outcome = outcomes[SEARCH_OF[quantity]]
-        if isinstance(outcome, SumResult) and outcome.quantity != quantity:
-            outcome = max_twin(outcome)
-        computed, status, witness_rel = None, "aborted", ""
+        search = SEARCH_OF[quantity]
+        outcome = outcomes[search]
+        computed, status = None, "aborted"
         if isinstance(outcome, SumResult):
+            if search != quantity:
+                outcome = max_twin(outcome)
             computed = outcome.value
             status = "match" if computed == predicted else "mismatch"
-            if witness_dir is not None:
-                name = f"{family}-{n}-{quantity}.json"
-                witness_rel = f"witnesses/{name}"
-                text = _SORTED_JSON.encode(outcome.witness.to_json()) + "\n"
-                _write_if_changed(f"{witness_dir}/{name}", text)
         rows.append(
             VerificationRow(
-                family, n, quantity, predicted, computed, status, witness_rel,
+                family, n, quantity, predicted, computed, status, files.get(search, ""),
                 outcome.nodes_explored, outcome.elapsed_ms,
             )
         )
@@ -527,11 +536,16 @@ def write_reports(rows, out_dir: str | os.PathLike, formats=tuple(REPORT_FORMATS
 
 def validate_witness(row: VerificationRow, base_dir: str | os.PathLike) -> bool:
     """Re-validate a report row's witness file from scratch: it must pass
-    the cache's witness check (`_witness`) and show the row's value.  A row
-    with no witness file, or one missing or unreadable, fails the check."""
+    the cache's witness check (`_witness`) for the row's search and show
+    the row's value, a *_sum_max row's by the max labelling of the file's
+    colour classes.  A row with no witness file, or one missing or
+    unreadable, fails the check."""
     try:
         data = json.loads((Path(base_dir) / row.witness_path).read_text())
     except (OSError, ValueError):
         return False
-    witness = _witness(row.family, row.n, row.quantity, data)
+    search = SEARCH_OF[row.quantity]
+    witness = _witness(row.family, row.n, search, data)
+    if witness is not None and search != row.quantity:
+        witness = optimal_labeling(witness.colors, "max")
     return witness is not None and witness_value(row.quantity, witness) == row.computed

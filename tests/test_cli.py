@@ -69,16 +69,6 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 
 class TestGenerate:
-    def test_edgelist(self, capsys):
-        assert main(["generate", "sunlet:3"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "6 6"
-        assert len(lines) == 7
-
-    def test_edgelist_is_default(self, capsys):
-        assert main(["generate", "sunlet:3"]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "6 6"
-
     def test_dot(self, capsys):
         assert main(["generate", "web:3", "--dot"]) == 0
         out = capsys.readouterr().out
@@ -142,9 +132,10 @@ class TestSolve:
 
     def test_graph_too_deep_is_a_one_line_error(self, capsys, monkeypatch):
         # the search recurses once per vertex, so a graph deeper than the
-        # recursion limit `_scan` sets is a usage error, not a traceback.
-        # With no headroom and the limit 100 frames above this one,
-        # sunlet:150's 300 vertices are too deep
+        # recursion limit plus `_scan`'s headroom is a usage error, not a
+        # traceback.  With no headroom and the limit 100 frames above this
+        # one, sunlet:150's 300 vertices are refused by `solvers.check_depth`
+        # before `_scan` recurses
         monkeypatch.setattr(solvers, "_MAX_HEADROOM", 0)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)

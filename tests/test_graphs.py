@@ -12,7 +12,7 @@ class TestConstruction:
     def test_dedupes_and_sorts_edges(self):
         g = Graph(3, [(1, 0), (0, 1), (1, 2)])
         assert g.edges == ((0, 1), (1, 2))
-        assert g.m == 2
+        assert len(g.edges) == 2
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -68,7 +68,7 @@ class TestConstruction:
 class TestCycle:
     def test_triangle(self):
         g = cycle(3)
-        assert (g.n, g.m) == (3, 3)
+        assert (g.n, len(g.edges)) == (3, 3)
 
     def test_square_degrees(self):
         g = cycle(4)

@@ -231,8 +231,11 @@ class TestBudget:
         assert info.value.nodes_explored == 101
 
     def test_graph_too_deep_restores_the_recursion_limit(self, monkeypatch):
-        # the RecursionError is turned into a ValueError once the stack has
-        # unwound, and the limit `_scan` raised is set back
+        # with no headroom and the limit 100 frames above this one,
+        # sunlet:150's 300 vertices are refused by `solvers.check_depth`
+        # before `_scan` raises the limit or recurses, so the limit is left
+        # as it was; test_graph_under_the_bound_too_deep_for_the_stack
+        # covers a RecursionError turned into this ValueError
         monkeypatch.setattr(solvers, "_MAX_HEADROOM", 0)
         limit = sys.getrecursionlimit()
         lowered = len(inspect.stack(0)) + 100

@@ -29,11 +29,12 @@ ALL_QUANTITIES = ("chi", "chi_sum_min", "chi_sum_max", "b_chromatic", "b_sum_min
 
 # sha256 of the desk campaign's witness files and its report.csv without
 # the nodes and millis columns, as computed by test_desk_witnesses_pinned
-# before the search was cut by the families' dihedral symmetry
-DESK_WITNESS_DIGEST = "7fb2ed2b98991a6e55d5f83987f475584f9f3dc34386b538f436c0062de045d0"
-# the same for the frontier campaign (test_frontier_witnesses_pinned), as
-# computed before the sum search gained its largest-class capacity bound
-FRONTIER_WITNESS_DIGEST = "69a054010050daf3a9528584b9938c3d2034ee1d05c234329bea4d3661164fdd"
+# when the witness files became one per search: every file equals the one
+# its search wrote before, and each *_sum_max row's earlier file is the max
+# labelling of its *_sum_min file
+DESK_WITNESS_DIGEST = "6d013e5a5748bf5516d98fde65b670f0c970da0c0c68c48549a6d80c08e9c77e"
+# the same for the frontier campaign (test_frontier_witnesses_pinned)
+FRONTIER_WITNESS_DIGEST = "8c58aa21b355826ac71ac60b4e6a4753ef7e6d6db8d604b0d8ae404b988691b6"
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,34 @@ class TestRunCampaign:
             assert row.witness_path
             assert (tmp_path / row.witness_path).exists()
             assert validate_witness(row, tmp_path)
+
+    def test_max_row_names_its_min_search_file(self, desk_run):
+        rows, _ = desk_run
+        paths = {(r.family, r.n, r.quantity): r.witness_path for r in rows}
+        maxes = [(f, n, q.replace("_max", "_min")) for f, n, q in paths if q.endswith("_sum_max")]
+        assert len(maxes) == 48
+        for f, n, q in maxes:
+            assert paths[f, n, q.replace("_min", "_max")] == paths[f, n, q] == f"witnesses/{f}-{n}-{q}.json"
+
+    def test_max_only_run_writes_one_min_file_per_group(self, tmp_path):
+        rows = run_campaign(["sunlet", "helm"], 3, 5, ["b_sum_max"], out_dir=tmp_path)
+        names = sorted(p.name for p in (tmp_path / "witnesses").iterdir())
+        assert names == sorted(f"{f}-{n}-b_sum_min.json" for f in ("sunlet", "helm") for n in (3, 4, 5))
+        assert all(validate_witness(row, tmp_path) for row in rows)
+
+    def test_max_row_checks_the_max_labelling_of_its_file(self, tmp_path):
+        # helm:4's chi_sum_min witness has classes of 5, 2 and 2 vertices:
+        # its file shows 15, and its max labelling the row's 21
+        (row,) = run_campaign(["helm"], 4, 4, ["chi_sum_max"], out_dir=tmp_path)
+        assert (row.computed, row.witness_path) == (21, "witnesses/helm-4-chi_sum_min.json")
+        assert validate_witness(row, tmp_path)
+        for off in (20, 22):
+            assert not validate_witness(dataclasses.replace(row, computed=off), tmp_path)
+        # a proper 3-colouring of other classes, three of 3 vertices, whose
+        # max labelling shows 18
+        (tmp_path / row.witness_path).write_text(json.dumps({"k": 3, "colors": [1, 2, 3, 2, 3, 1, 1, 3, 2]}))
+        assert not validate_witness(row, tmp_path)
+        assert validate_witness(dataclasses.replace(row, computed=18), tmp_path)
 
     def test_mismatch_rows_carry_witness(self, tmp_path):
         rows = run_campaign(["helm"], 3, 3, ["b_sum_min"], out_dir=tmp_path)
@@ -395,7 +424,7 @@ class TestRunCampaign:
         import concurrent.futures
 
         quantities = ["chi_sum_min", "b_sum_min", "b_sum_max"]
-        served = ["sunlet-3-chi_sum_min.json", "web-3-b_sum_max.json"]
+        served = ["sunlet-3-chi_sum_min.json", "web-3-b_sum_min.json"]
         runs = {}
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
@@ -679,7 +708,7 @@ class TestCache:
         (row,) = run_campaign(["sunlet"], 4, 4, ["b_sum_max"], out_dir=tmp_path, cache=cache)
         twin = max_twin(minimum)
         assert (row.computed, row.nodes_explored) == (twin.value, minimum.nodes_explored) == (20, 19)
-        assert json.loads((tmp_path / row.witness_path).read_text()) == twin.witness.to_json()
+        assert json.loads((tmp_path / row.witness_path).read_text()) == minimum.witness.to_json()
         cache.save()
         assert list(json.loads(path.read_text())["entries"]) == ["sunlet:4:b_sum_min"]
 
@@ -861,7 +890,7 @@ class TestRerunWrites:
         desk = (formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
         self._verify(tmp_path, desk)
         files = self._files(tmp_path)
-        assert len(files) == 99 + 3 + 1  # witnesses, reports, cache
+        assert len(files) == 51 + 3 + 1  # a witness per search, reports, cache
         self._backdate(files)
         before = self._stamps(tmp_path)
         self._verify(tmp_path, desk)
@@ -871,7 +900,7 @@ class TestRerunWrites:
     def test_altered_witness_and_report_are_rewritten(self, tmp_path):
         self._verify(tmp_path, self.SMALL)
         files = self._files(tmp_path)
-        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_min.json"
         report = tmp_path / "report.csv"
         witness.write_text('{"colors": [1], "k": 1}\n')
         report.write_bytes(files[report].replace(b"match", b"hctam"))
@@ -926,13 +955,13 @@ class TestRerunWrites:
         tmps = {p.with_name(f"{p.name}.{os.getpid()}.tmp") for p in outputs | {cache}}
         assert sorted(written) == sorted(tmps)
         assert set(self._files(tmp_path)) == outputs | {cache}
-        # a warm rerun compares each of the 20 files, one read each
+        # a warm rerun compares each of the 12 files, one read each
         self._verify(tmp_path, self.SMALL)
-        assert len(reads) == len(outputs | {cache}) == 20
+        assert len(reads) == len(outputs | {cache}) == 12
 
     def test_failed_rewrite_keeps_previous_bytes(self, tmp_path, monkeypatch):
         rows = self._verify(tmp_path, self.SMALL)
-        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_min.json"
         report = tmp_path / "report.csv"
         witness.write_text('{"colors": [1], "k": 1}\n')
         report.write_bytes(report.read_bytes().replace(b"match", b"hctam"))
@@ -958,7 +987,7 @@ class TestRerunWrites:
         # expected bytes plus one, or all but the last, is not a match
         self._verify(tmp_path, self.SMALL)
         files = self._files(tmp_path)
-        witness = tmp_path / "witnesses" / "helm-4-b_sum_max.json"
+        witness = tmp_path / "witnesses" / "helm-4-b_sum_min.json"
         report = tmp_path / "report.json"
         for path in (witness, report):
             path.write_bytes(files[path] + b" " if change == "longer" else files[path][:-1])
@@ -1067,7 +1096,7 @@ def test_desk_witnesses_pinned(tmp_path):
     # value, a status or a witness of the desk campaign
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES, out_dir=tmp_path)
     assert len(rows) == 99
-    assert witness_digest(rows, tmp_path) == (99, DESK_WITNESS_DIGEST)
+    assert witness_digest(rows, tmp_path) == (51, DESK_WITNESS_DIGEST)
 
 
 def test_frontier_witnesses_pinned(tmp_path):
@@ -1076,7 +1105,7 @@ def test_frontier_witnesses_pinned(tmp_path):
     caps = {family: cap + 2 for family, cap in DESK_CAPS.items()}
     rows = run_campaign(formulas.COVERED_FAMILIES, 6, caps, ALL_QUANTITIES, out_dir=tmp_path)
     assert len(rows) == 78
-    assert witness_digest(rows, tmp_path) == (78, FRONTIER_WITNESS_DIGEST)
+    assert witness_digest(rows, tmp_path) == (40, FRONTIER_WITNESS_DIGEST)
 
 
 def test_desk_cache_holds_searches_only(tmp_path):
