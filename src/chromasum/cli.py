@@ -2,8 +2,8 @@
 instances, run verification campaigns, and print prediction tables.
 
 Exit codes: 0 success, 1 usage or file error (a verify plan with no row,
-or a graph too deep for the search, is a usage error), 2 budget
-exhausted, 3 mismatches found under --strict.
+a table with no row, or a graph too deep for the search, is a usage
+error), 2 budget exhausted, 3 mismatches found under --strict.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     entry = formulas.entry_for(args.family, args.quantity)
+    if args.n_max < families.MIN_N:  # so an empty table is not a success
+        raise ValueError(f"nothing to print: --n-max {args.n_max} is below the least n, {families.MIN_N}")
     for n in range(families.MIN_N, args.n_max + 1):
         print(f"{n} {entry.predict(n)}")
     return 0

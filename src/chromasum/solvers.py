@@ -22,7 +22,11 @@ still hold, in O(k) popcounts, each cap also at most the independence
 number of the unassigned suffix.  A distinct b-vertex count cuts a node
 where more classes must still take their b-vertex from the unassigned
 vertices of `good` than there are such vertices, since no vertex is the
-b-vertex of two classes (see `_partition`).  The tables a search reads of
+b-vertex of two classes.  Where all k classes are opened, a forced-growth
+bound raises the sum bound of the b searches: a class smaller than the
+largest that no candidate b-vertex of some other class can see must still
+gain a vertex, at a higher rank than the greedy pour into the largest
+class would give it (see `_partition`).  The tables a search reads of
 the graph alone (the suffix masks, the lex-leader images, and for the min
 searches, the only ones to read them, the suffixes' independence numbers)
 are built once per graph object and shared by every search of that graph.
@@ -72,7 +76,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, coloring_sum, optimal_labeling
 from .graphs import Graph
 
-SOLVER_VERSION = "8"
+SOLVER_VERSION = "9"
 
 # The search each quantity's row is read from.  A *_sum_max row is its
 # *_sum_min search relabelled (`max_twin`); every other quantity is a search.
@@ -336,12 +340,30 @@ def _partition(
     outnumber popcount(free): the counting form of Hall's condition, one
     counter and one popcount in the per-class loop above.
 
+    Forced growth, tried where all k classes are opened (need = 0) under an
+    incumbent: class d's b-vertex is one of its candidates cands[d] =
+    good & masks[d] | free & ~sees[d], the sets the b-feasibility test
+    reads, and it needs a neighbour in every other class c.  So if no
+    candidate of d is in sees[c], c must still gain a vertex.  Each such
+    class c of size s below the largest takes one of the rem vertices the
+    greedy completion pours into the largest class at rank 1: c grows at
+    rank above[s]+1 plus the forced classes of size s counted before it,
+    so the bound rises by above[s] plus that count.  The node is cut when
+    those charges reach best - lb, or when more classes are forced than
+    vertices remain.  With t classes of the largest size the charges add at
+    most reach[t] = k(k-1)/2 - t(t-1)/2, every smaller class grown at ranks
+    t+1..k, so the O(k^2) test is skipped where the gap exceeds that and no
+    k - t classes can outnumber rem.  A class never forces itself: its own
+    candidates have no neighbour in it.
+
     Leaves: a leaf (v = n) takes the node tests, each its leaf condition
     once nothing is unassigned: need > rem = 0 unless all k classes are
     opened; lb = W must beat the incumbent, and then its largest class
     exceeds limit = W + top - best and stops the capacity cut; with free = 0
-    the b-test is the b-colouring check.  Neither guard reads `used`: the
-    root has no incumbent, and its >= k eligible vertices pass its b-test.
+    the b-test is the b-colouring check, and then every candidate sees every
+    other class, so no class is forced to grow.  Neither guard reads
+    `used`: the root has no incumbent, and its >= k eligible vertices pass
+    its b-test.
 
     Node count: `search` counts nodes in a local and hands the count to the
     tracker, which reads the deadline, at its first node and then only at
@@ -374,6 +396,9 @@ def _partition(
     watched = [a & eligible for a in adj]
     tails, cut, images = _graph_tables(g)
     alpha = None if first else _alpha_table(g)  # read only under an incumbent
+    # the most the forced-growth charges add with t classes of the largest
+    # size: every smaller class grown, at ranks t+1..k, each one above the pour
+    reach = [(k * (k - 1) - t * (t - 1)) // 2 for t in range(k + 1)]
 
     best_value: int | None = None
     best_assign: list[int] | None = None
@@ -439,6 +464,33 @@ def _partition(
                     short += 1
             if short > free.bit_count():
                 return False
+            if not need and best_value is not None:
+                # forced growth: a class below the largest size that none of
+                # some other class's candidate b-vertices sees must still grow
+                t = above[top - 1]
+                gap = best_value - lb
+                if gap <= reach[t] or k - t > rem:
+                    # loops, not comprehensions: on 3.11 each comprehension
+                    # is a call, which costs as much as the test itself
+                    cands = []
+                    for m, s in zip(masks, sees):
+                        cands.append(good & m | free & ~s)
+                    grown = []
+                    for c in range(k):
+                        s = sizes[c]
+                        if s < top:
+                            sc = sees[c]
+                            d = 0
+                            for x in cands:
+                                if not x & sc and d != c:
+                                    gap -= above[s] + grown.count(s)
+                                    if gap <= 0:
+                                        return False
+                                    grown.append(s)
+                                    break
+                                d += 1
+                    if len(grown) > rem:
+                        return False
         if v == cut and not lex_leader():
             return False
         if v == n:

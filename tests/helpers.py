@@ -132,9 +132,11 @@ def reference_partition(g, k, tracker, require_b, first=False):
     (each opened class's size plus the unassigned vertices with no
     neighbour in it, or one more than the vertices spare for an unopened
     class, and never more than a largest independent set of the unassigned
-    vertices, taken from `brute_suffix_alpha`), and checks at a leaf that
-    each class has a vertex seeing every other class.  Same pruning
-    decisions, so the same restricted-growth string and nodes."""
+    vertices, taken from `brute_suffix_alpha`), once every class is opened
+    recomputes each class's candidate b-vertices and pads by one each class
+    below the largest that some other class's candidates do not see, and
+    checks at a leaf that each class has a vertex seeing every other class.
+    Same pruning decisions, so the same restricted-growth string and nodes."""
     n, adj = g.n, g.adj
     masks = [0] * k
     sizes = [0] * k
@@ -151,23 +153,45 @@ def reference_partition(g, k, tracker, require_b, first=False):
     best_value = None
     best_assign = None
 
+    def sees_enough(w, v, used):
+        # w sees, or can still see, k-1 classes other than its own
+        aw = adj[w]
+        return sum(1 for c in range(used) if aw & masks[c]) + (aw >> v).bit_count() >= k - 1
+
     def b_feasible(v, used):
         un = full ^ ((1 << v) - 1)
-
-        def sees_enough(w):
-            # w sees, or can still see, k-1 classes other than its own
-            aw = adj[w]
-            return sum(1 for c in range(used) if aw & masks[c]) + (aw & un).bit_count() >= k - 1
-
-        spare = [w for w in eligible if 1 << w & un and sees_enough(w)]
+        spare = [w for w in eligible if 1 << w & un and sees_enough(w, v, used)]
         short = k - used  # classes whose b-vertex must come from spare
         for c in range(used):
-            if any(1 << w & masks[c] and sees_enough(w) for w in eligible):
+            if any(1 << w & masks[c] and sees_enough(w, v, used) for w in eligible):
                 continue
             if all(adj[w] & masks[c] for w in spare):
                 return False
             short += 1
         return short <= len(spare)
+
+    def forced_growth_cut(v):
+        # every class is opened.  Class d's b-vertex is a vertex of d, or an
+        # unassigned vertex with no neighbour in d, that sees enough classes,
+        # and it needs a neighbour in every other class.  A class smaller
+        # than the largest that no candidate of some other class sees must
+        # grow: pad it by one, pour the other unassigned vertices into the
+        # largest class, and compare
+        rem = n - v
+        cands = [
+            [w for w in eligible if sees_enough(w, v, k) and (1 << w & masks[d] or (w >= v and not adj[w] & masks[d]))]
+            for d in range(k)
+        ]
+        top = max(sizes)
+        forced = [
+            c for c in range(k)
+            if sizes[c] < top and any(d != c and not any(adj[w] & masks[c] for w in cands[d]) for d in range(k))
+        ]
+        if len(forced) > rem:
+            return True
+        padded = sorted((s + (c in forced) for c, s in enumerate(sizes)), reverse=True)
+        padded[0] += rem - len(forced)
+        return sum(i * s for i, s in enumerate(padded, start=1)) >= best_value
 
     def leaf_is_b():
         for c in range(k):
@@ -209,6 +233,8 @@ def reference_partition(g, k, tracker, require_b, first=False):
             if sum(i * s for i, s in enumerate(padded, start=1)) + excess >= best_value:
                 return False
         if require_b and used and not b_feasible(v, used):
+            return False
+        if require_b and used == k and best_value is not None and forced_growth_cut(v):
             return False
         av = adj[v]
         vbit = 1 << v

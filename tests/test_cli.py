@@ -175,6 +175,13 @@ class TestTable:
     def test_unknown_family(self, capsys):
         assert main(["table", "--family", "gear", "--quantity", "chi", "--n-max", "4"]) == 1
 
+    def test_empty_table_is_a_usage_error(self, capsys):
+        # as verify treats an empty plan: no row printed is not a success
+        assert main(["table", "--family", "helm", "--quantity", "chi_sum_min", "--n-max", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: nothing to print: --n-max 2 is below the least n, 3\n"
+
 
 class TestVerify:
     def test_small_campaign(self, tmp_path, capsys):

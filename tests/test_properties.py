@@ -1,7 +1,8 @@
 """Property tests on random graphs with at most 10 vertices: the solvers
 against the brute-force oracle, determinism of the chi witness, the
 min/max duality of the sums, the incremental partition enumerator
-against its loop version, the min scan against the first-partition
+against its loop version, the b min search at every k against the
+oracle (at most 9 vertices), the min scan against the first-partition
 scan, the suffix independence numbers against a brute force, and the
 witness check's chi and phi certificates against the oracle; and on
 random ring graphs with their ring layout, the enumerator's lex-leader
@@ -145,6 +146,22 @@ def test_partition_matches_reference(g):
                     tracker = _Tracker(SearchBudget())
                     runs.append((enumerate_partitions(g, k, tracker, require_b, first), tracker.nodes))
                 assert runs[0] == runs[1], (k, require_b, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=9))
+def test_b_min_search_matches_oracle_at_every_k(g):
+    # the forced-growth bound against the oracle, which has no bound: at
+    # every k from m(G) down, the min search finds the oracle's witness, or
+    # like the oracle no b-partition at all
+    for k in range(solvers.m_bound(g), 0, -1):
+        labels = _partition(g, k, _Tracker(SearchBudget()), require_b=True, first=False)
+        try:
+            want = brute_force_oracle(g, "b_sum_min", k=k).witness
+        except ValueError:
+            assert labels is None, k
+            continue
+        assert optimal_labeling(labels, "min") == want, k
 
 
 @settings(max_examples=200, deadline=None)

@@ -427,11 +427,11 @@ class TestNodeCounts:
     shows here."""
 
     CASES = [
-        (b_sum, "sunlet", 8, 1_728),
-        (b_sum, "web", 6, 1_650),
-        (b_sum, "closed_helm", 8, 1_960),
-        (b_sum, "helm", 8, 3_375),
-        (b_sum, "web", 7, 16_247),
+        (b_sum, "sunlet", 8, 579),
+        (b_sum, "web", 6, 1_325),
+        (b_sum, "closed_helm", 8, 788),
+        (b_sum, "helm", 8, 747),
+        (b_sum, "web", 7, 8_660),
         (b_sum, "double_wheel", 9, 175),
         (chi_sum, "double_wheel", 9, 190),
     ]
@@ -484,6 +484,21 @@ class TestDistinctBVertexCount:
         assert _partition(g, 3, tracker, require_b=True, first=True) is None
         assert tracker.nodes == 11
         assert brute_force_oracle(g, "b_chromatic").value == 2
+
+
+class TestForcedGrowth:
+    def test_largest_class_grows_for_free(self):
+        # phi = 3.  The first leaf has sum 11; then at the prefix {0, 3},
+        # {1}, {2} the gap to it is 1, and the b-vertex of {1} can only be 1,
+        # which sees {2} but not {0, 3}: the largest class must grow, which
+        # the greedy pour into it already counts, so the node stays.  A bound
+        # that charged that growth, or that let a class force itself, would
+        # cut there and miss the least sum 10 (oracle-confirmed)
+        g = Graph(7, [(1, 2), (1, 4), (1, 6), (2, 3), (2, 6)])
+        low, high = b_sum(g, "min"), b_sum(g, "max")
+        assert (low.value, low.witness.colors) == (10, (1, 2, 3, 1, 1, 1, 1))
+        assert high.value == 18
+        assert brute_force_oracle(g, "b_sum_min").value == 10
 
 
 class TestSolveDispatcher:

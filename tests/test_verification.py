@@ -1120,7 +1120,7 @@ def test_desk_cache_holds_searches_only(tmp_path):
 def test_desk_node_total_pinned():
     # a sum row's scan ends with its min search, so no k is searched twice
     rows = run_campaign(formulas.COVERED_FAMILIES, MIN_N, DESK_CAPS, ALL_QUANTITIES)
-    assert sum(r.nodes_explored for r in rows) == 13_479
+    assert sum(r.nodes_explored for r in rows) == 8_509
 
 
 def test_solve_group_builds_each_graph_tables_once(monkeypatch):
